@@ -14,7 +14,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import __version__, criteria, gaussian, qubits, scenarios
@@ -25,38 +24,6 @@ from .qubits import DetectionModel
 
 class UsageError(ValueError):
     """Invalid flag combination or malformed flag value."""
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Everything one invocation produced, serializable losslessly."""
-
-    tool_version: str
-    scenario: str
-    parameters: dict
-    records: tuple
-    wall_time_s: float
-
-    def to_json(self) -> str:
-        payload = {
-            "tool_version": self.tool_version,
-            "scenario": self.scenario,
-            "parameters": self.parameters,
-            "records": list(self.records),
-            "wall_time_s": self.wall_time_s,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        data = json.loads(text)
-        return cls(
-            data["tool_version"],
-            data["scenario"],
-            data["parameters"],
-            tuple(data["records"]),
-            data["wall_time_s"],
-        )
 
 
 _CSV_COLUMNS = {
@@ -88,22 +55,22 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit(report: RunReport, fmt: str, stream) -> None:
+def _emit(command: str, parameters: dict, records: list[dict], fmt: str, stream) -> None:
     if fmt == "json":
         header = {
             "record": "header",
-            "tool_version": report.tool_version,
-            "scenario": report.scenario,
-            "parameters": report.parameters,
+            "tool_version": __version__,
+            "scenario": command,
+            "parameters": parameters,
         }
         print(json.dumps(header, sort_keys=True, separators=(",", ":")), file=stream)
-        for record in report.records:
+        for record in records:
             print(json.dumps(record, sort_keys=True, separators=(",", ":")), file=stream)
     else:
-        columns = _CSV_COLUMNS[report.scenario]
+        columns = _CSV_COLUMNS[command]
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(columns)
-        for record in report.records:
+        for record in records:
             writer.writerow([_csv_cell(record.get(c)) for c in columns])
 
 
@@ -343,8 +310,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
     wall_time = time.perf_counter() - start
-    report = RunReport(__version__, args.command, parameters, tuple(records), wall_time)
-    _emit(report, args.format, sys.stdout)
+    _emit(args.command, parameters, records, args.format, sys.stdout)
     print(f"# wall_time_s={wall_time:.6f}", file=sys.stderr)
     return 0
 

@@ -7,6 +7,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
+
+def freeze(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
 
 class CriterionId(enum.Enum):
     """Identifies which steering inequality produced a value."""

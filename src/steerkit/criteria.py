@@ -101,6 +101,33 @@ class TripartiteScanReport:
     purity_asserted: bool
 
 
+_SPIN_SUM_IDS = {2: CriterionId.SPIN_SUM_2OBS, 3: CriterionId.SPIN_SUM_3OBS}
+
+
+def _spin_sum(
+    state: qubits.State,
+    partition: SitePartition,
+    predictors: Sequence[PauliString],
+    model: DetectionModel | None,
+) -> SteeringValue:
+    """Spin sum over the target's X, Y (, Z); bound = #predictors - 1."""
+    n = qubits.state_qubits(state)
+    qubits.check_partition(partition, n)
+    value = 0.0
+    for label, predictor in zip("XYZ", predictors):
+        qubits._require_group_support(predictor, partition)
+        target = PauliString.single(n, partition.target_site, label)
+        if model is None:
+            value += qubits.variance_of_difference(state, target, predictor)
+        else:
+            value += qubits.inference_variance_with_loss(
+                state, partition, target, predictor, model
+            )
+    return SteeringValue.of(
+        _SPIN_SUM_IDS[len(predictors)], partition, value, len(predictors) - 1
+    )
+
+
 def spin_two_obs(
     state: qubits.State,
     partition: SitePartition,
@@ -111,20 +138,7 @@ def spin_two_obs(
     """Two-observable spin criterion:
     Var(sigma_x - P_x) + Var(sigma_y - P_y) < 1 confirms steering of the target.
     """
-    n = qubits.state_qubits(state)
-    qubits.check_partition(partition, n)
-    target_x = PauliString.single(n, partition.target_site, "X")
-    target_y = PauliString.single(n, partition.target_site, "Y")
-    value = 0.0
-    for target, predictor in ((target_x, predictor_x), (target_y, predictor_y)):
-        _require_group_support(predictor, partition)
-        if model is None:
-            value += qubits.variance_of_difference(state, target, predictor)
-        else:
-            value += qubits.inference_variance_with_loss(
-                state, partition, target, predictor, model
-            )
-    return SteeringValue.of(CriterionId.SPIN_SUM_2OBS, partition, value, 1.0)
+    return _spin_sum(state, partition, (predictor_x, predictor_y), model)
 
 
 def spin_three_obs(
@@ -138,28 +152,7 @@ def spin_three_obs(
     """Three-observable spin criterion with bound 2; robust to detection
     inefficiency down to 1/3 under the marginal-mean no-click policy.
     """
-    n = qubits.state_qubits(state)
-    qubits.check_partition(partition, n)
-    predictors = {"X": predictor_x, "Y": predictor_y, "Z": predictor_z}
-    value = 0.0
-    for label, predictor in predictors.items():
-        _require_group_support(predictor, partition)
-        target = PauliString.single(n, partition.target_site, label)
-        if model is None:
-            value += qubits.variance_of_difference(state, target, predictor)
-        else:
-            value += qubits.inference_variance_with_loss(
-                state, partition, target, predictor, model
-            )
-    return SteeringValue.of(CriterionId.SPIN_SUM_3OBS, partition, value, 2.0)
-
-
-def _require_group_support(predictor: PauliString, partition: SitePartition) -> None:
-    extra = set(predictor.support) - set(partition.steering_group)
-    if extra:
-        raise ValueError(
-            f"predictor acts outside the steering group at sites {sorted(extra)}"
-        )
+    return _spin_sum(state, partition, (predictor_x, predictor_y, predictor_z), model)
 
 
 def genuine_tripartite_aggregate(
@@ -347,12 +340,7 @@ def pure_state_tripartite_scan(
     recorded here.
     """
     if isinstance(state, GaussianState):
-        if state.n_modes != 3:
-            raise ValueError(f"need exactly 3 modes, got {state.n_modes}")
-        values = []
-        for target in (1, 2, 3):
-            k, m = sorted({1, 2, 3} - {target})
-            values.append(gaussian.fixed_combo_steering(state, target, k, m))
+        values = _cv3_fixed_combo_values(state)
     else:
         if qubits.state_qubits(state) != 3:
             raise ValueError(f"need exactly 3 qubits, got {qubits.state_qubits(state)}")
@@ -386,12 +374,17 @@ def ghz3_genuine_report(
     return genuine_tripartite_aggregate(values)
 
 
-def cv3_genuine_report(state: GaussianState) -> GenuineSteeringReport:
-    """Fixed-combination per-target values for a 3-mode state."""
+def _cv3_fixed_combo_values(state: GaussianState) -> list[SteeringValue]:
+    """fixed_combo_steering of each mode of a 3-mode state by the other two."""
     if state.n_modes != 3:
         raise ValueError(f"need exactly 3 modes, got {state.n_modes}")
     values = []
     for target in (1, 2, 3):
         k, m = sorted({1, 2, 3} - {target})
         values.append(gaussian.fixed_combo_steering(state, target, k, m))
-    return genuine_tripartite_aggregate(values)
+    return values
+
+
+def cv3_genuine_report(state: GaussianState) -> GenuineSteeringReport:
+    """Fixed-combination per-target values for a 3-mode state."""
+    return genuine_tripartite_aggregate(_cv3_fixed_combo_values(state))

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import CriterionId, SitePartition, SteeringValue
+from .core import CriterionId, SitePartition, SteeringValue, freeze
 
 # Eigenvalues of the measured covariance block below this are treated as zero
 # when inverting; infinite-squeezing limits produce rank-deficient blocks.
@@ -61,17 +61,12 @@ class GaussianState:
                 "covariance violates the uncertainty principle "
                 "(symplectic eigenvalue below 1)"
             )
-        object.__setattr__(self, "mean", _freeze(mean))
-        object.__setattr__(self, "cov", _freeze(cov))
+        object.__setattr__(self, "mean", freeze(mean))
+        object.__setattr__(self, "cov", freeze(cov))
 
     @property
     def n_modes(self) -> int:
         return self.mean.size // 2
-
-
-def _freeze(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 def vacuum(n_modes: int) -> GaussianState:
@@ -177,8 +172,6 @@ def _ghz_network(state: GaussianState, modes: tuple[int, int, int], r: float) ->
 
 def cv_ghz(r: float) -> GaussianState:
     """Three-mode GHZ-type resource with squeezing strength r."""
-    if r < 0.0:
-        raise ValueError(f"squeezing strength must be non-negative, got {r}")
     return _ghz_network(vacuum(3), (1, 2, 3), r)
 
 
@@ -186,8 +179,6 @@ def eavesdrop_scenario(r: float, efficiency: float) -> GaussianState:
     """GHZ-type resource on modes 1-3 with modes 2 and 3 each tapped by a
     beamsplitter of the given transmissivity; modes 4 and 5 carry the taps.
     """
-    if r < 0.0:
-        raise ValueError(f"squeezing strength must be non-negative, got {r}")
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError(f"efficiency must lie in [0, 1], got {efficiency}")
     state = _ghz_network(vacuum(5), (1, 2, 3), r)
@@ -207,7 +198,7 @@ class QuadratureCombo:
             raise ValueError("coefficients must be a flat vector of length 2 * n_modes")
         if not np.any(coeff):
             raise ValueError("combination must not be identically zero")
-        object.__setattr__(self, "coefficients", _freeze(coeff))
+        object.__setattr__(self, "coefficients", freeze(coeff))
 
     @property
     def n_modes(self) -> int:

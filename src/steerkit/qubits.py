@@ -13,7 +13,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .core import SitePartition
+from .core import SitePartition, freeze
 
 MAX_QUBITS = 14
 
@@ -41,11 +41,6 @@ def _check_n_qubits(n: int) -> None:
         raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
 
 
-def _freeze(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector over n qubits."""
@@ -60,7 +55,7 @@ class PureState:
         norm = np.linalg.norm(amp)
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"state must be normalized, got norm {norm!r}")
-        object.__setattr__(self, "amplitudes", _freeze(amp))
+        object.__setattr__(self, "amplitudes", freeze(amp))
 
     @property
     def n_qubits(self) -> int:
@@ -89,7 +84,7 @@ class DensityMatrix:
             raise ValueError(f"density matrix must have unit trace, got {trace!r}")
         if np.linalg.eigvalsh(mat).min() < -1e-9:
             raise ValueError("density matrix must be positive semidefinite within 1e-9")
-        object.__setattr__(self, "matrix", _freeze(mat))
+        object.__setattr__(self, "matrix", freeze(mat))
 
     @property
     def n_qubits(self) -> int:
@@ -97,15 +92,6 @@ class DensityMatrix:
 
 
 State = Union[PureState, DensityMatrix]
-
-
-def as_density(state: State) -> DensityMatrix:
-    """Coerce a pure state to its density matrix; pass density matrices through."""
-    if isinstance(state, DensityMatrix):
-        return state
-    if isinstance(state, PureState):
-        return state.density_matrix()
-    raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
 
 
 def state_qubits(state: State) -> int:
@@ -169,8 +155,9 @@ class PauliString:
         return out
 
 
-def _string_masks(obs: PauliString) -> tuple[int, int, int]:
-    """(flip_mask, phase_mask, y_count) with site 1 as the most significant bit."""
+def _string_masks(obs: PauliString) -> tuple[int, int, complex]:
+    """(flip_mask, phase_mask, prefactor) with site 1 as the most significant
+    bit; the prefactor is the sign times i**(number of Y factors)."""
     n = obs.n_sites
     flip = phase = y_count = 0
     for i, f in enumerate(obs.factors):
@@ -181,7 +168,7 @@ def _string_masks(obs: PauliString) -> tuple[int, int, int]:
             phase |= bit
         if f == "Y":
             y_count += 1
-    return flip, phase, y_count
+    return flip, phase, obs.sign * 1j ** (y_count % 4)
 
 
 def _parity_signs(values: np.ndarray) -> np.ndarray:
@@ -206,8 +193,7 @@ def expectation(state: State, obs: PauliString) -> float:
         raise ValueError(
             f"observable acts on {obs.n_sites} sites but state has {n} qubits"
         )
-    flip, phase_mask, y_count = _string_masks(obs)
-    prefactor = obs.sign * 1j ** (y_count % 4)
+    flip, phase_mask, prefactor = _string_masks(obs)
     dim = 1 << n
     idx = np.arange(dim, dtype=np.uint64)
     if isinstance(state, PureState):
@@ -304,9 +290,13 @@ def depolarize_global(state: State, p: float) -> DensityMatrix:
     """Mix with the maximally mixed state: p*rho + (1-p)*I/2^n."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing weight must lie in [0, 1], got {p}")
-    rho = as_density(state)
-    dim = rho.matrix.shape[0]
-    return DensityMatrix(p * rho.matrix + (1.0 - p) * np.eye(dim) / dim)
+    dim = 1 << state_qubits(state)
+    # the input is already validated: only the mixture pays for the PSD check
+    if isinstance(state, PureState):
+        rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    else:
+        rho = state.matrix
+    return DensityMatrix(p * rho + (1.0 - p) * np.eye(dim) / dim)
 
 
 @dataclass(frozen=True)
@@ -431,8 +421,7 @@ def optimal_inference_variance(
     if bad:
         raise ValueError(f"measurement settings must be X, Y, or Z; got {bad}")
 
-    flip, phase_mask, y_count = _string_masks(target)
-    prefactor = target.sign * 1j ** (y_count % 4)
+    flip, phase_mask, prefactor = _string_masks(target)
     dim = 1 << n
     idx = np.arange(dim, dtype=np.uint64)
     src = idx ^ np.uint64(flip)

@@ -106,59 +106,76 @@ def _ghz3_canonical() -> tuple[qubits.PureState, SitePartition, PauliString, Pau
     )
 
 
-def _three_obs_verdict(eta: float) -> bool:
-    state, partition, px, py, pz = _ghz3_canonical()
-    model = DetectionModel(eta)
-    return spin_three_obs(state, partition, px, py, pz, model).verdict
-
-
-def _two_obs_verdict(eta: float) -> bool:
-    state, partition, px, py, _ = _ghz3_canonical()
-    model = DetectionModel(eta)
-    return spin_two_obs(state, partition, px, py, model).verdict
-
-
-def _cv_genuine_verdict(r: float) -> bool:
-    return cv3_genuine_report(gaussian.cv_ghz(r)).genuine
-
-
 @dataclass(frozen=True)
-class ThresholdScenario:
+class Scenario:
+    backend: str
     parameter: str
-    bracket: tuple[float, float]
-    predicate: Callable[[float], bool]
-    description: str
+    criterion: str
+    evaluate: Callable[[float], tuple[float, float, bool]]
 
 
-THRESHOLD_SCENARIOS: dict[str, ThresholdScenario] = {
-    "three-obs-eta": ThresholdScenario(
-        "eta",
-        (0.0, 1.0),
-        _three_obs_verdict,
-        "detection efficiency at which the three-observable spin criterion flips on GHZ(3)",
+def _noise_genuine_sum(p: float) -> tuple[float, float, bool]:
+    state = qubits.depolarize_global(qubits.ghz(3), p)
+    report = ghz3_genuine_report(state)
+    return report.sum, 1.0, report.genuine
+
+
+def _cv_genuine_sum(r: float) -> tuple[float, float, bool]:
+    report = cv3_genuine_report(gaussian.cv_ghz(r))
+    return report.sum, 1.0, report.genuine
+
+
+def _cv_fixed_combo(r: float) -> tuple[float, float, bool]:
+    value = gaussian.fixed_combo_steering(gaussian.cv_ghz(r), 1, 2, 3)
+    return value.value, value.bound, value.verdict
+
+
+def _three_obs_eta(eta: float) -> tuple[float, float, bool]:
+    state, partition, px, py, pz = _ghz3_canonical()
+    value = spin_three_obs(state, partition, px, py, pz, DetectionModel(eta))
+    return value.value, value.bound, value.verdict
+
+
+def _two_obs_eta(eta: float) -> tuple[float, float, bool]:
+    state, partition, px, py, _ = _ghz3_canonical()
+    value = spin_two_obs(state, partition, px, py, DetectionModel(eta))
+    return value.value, value.bound, value.verdict
+
+
+SCENARIOS: dict[str, Scenario] = {
+    "noise-genuine-sum": Scenario(
+        "qubit", "p", CriterionId.SPIN_SUM_2OBS.value, _noise_genuine_sum
     ),
-    "two-obs-eta": ThresholdScenario(
-        "eta",
-        (0.0, 1.0),
-        _two_obs_verdict,
-        "detection efficiency at which the two-observable spin criterion flips on GHZ(3)",
+    "cv-genuine-sum": Scenario(
+        "cv", "r", CriterionId.CV_FIXED_COMBO.value, _cv_genuine_sum
     ),
-    "cv-genuine-r": ThresholdScenario(
-        "r",
-        (0.0, 1.0),
-        _cv_genuine_verdict,
-        "squeezing strength at which the genuine-steering sum flips on the CV GHZ resource",
+    "cv-fixed-combo": Scenario(
+        "cv", "r", CriterionId.CV_FIXED_COMBO.value, _cv_fixed_combo
     ),
+    "three-obs-eta": Scenario(
+        "qubit", "eta", CriterionId.SPIN_SUM_3OBS.value, _three_obs_eta
+    ),
+    "two-obs-eta": Scenario(
+        "qubit", "eta", CriterionId.SPIN_SUM_2OBS.value, _two_obs_eta
+    ),
+}
+
+
+# Threshold scenario -> the scenario whose verdict it bisects over (0, 1).
+THRESHOLD_SCENARIOS: dict[str, str] = {
+    "three-obs-eta": "three-obs-eta",
+    "two-obs-eta": "two-obs-eta",
+    "cv-genuine-r": "cv-genuine-sum",
 }
 
 
 def run_threshold_scenario(name: str) -> ThresholdResult:
     try:
-        scenario = THRESHOLD_SCENARIOS[name]
+        scenario = SCENARIOS[THRESHOLD_SCENARIOS[name]]
     except KeyError:
         known = ", ".join(sorted(THRESHOLD_SCENARIOS))
         raise ValueError(f"unknown threshold scenario {name!r}; known: {known}") from None
-    return find_threshold(scenario.predicate, scenario.bracket, scenario.parameter)
+    return find_threshold(lambda x: scenario.evaluate(x)[2], (0.0, 1.0), scenario.parameter)
 
 
 @dataclass(frozen=True)
@@ -374,67 +391,12 @@ class SweepConfig:
             raise ValueError("seed must be a non-negative integer")
 
 
-@dataclass(frozen=True)
-class SweepScenario:
-    backend: str
-    parameter: str
-    criterion: str
-    evaluate: Callable[[float], tuple[float, float, bool]]
-
-
-def _noise_genuine_sum(p: float) -> tuple[float, float, bool]:
-    state = qubits.depolarize_global(qubits.ghz(3), p)
-    report = ghz3_genuine_report(state)
-    return report.sum, 1.0, report.genuine
-
-
-def _cv_genuine_sum(r: float) -> tuple[float, float, bool]:
-    report = cv3_genuine_report(gaussian.cv_ghz(r))
-    return report.sum, 1.0, report.genuine
-
-
-def _cv_fixed_combo(r: float) -> tuple[float, float, bool]:
-    value = gaussian.fixed_combo_steering(gaussian.cv_ghz(r), 1, 2, 3)
-    return value.value, value.bound, value.verdict
-
-
-def _three_obs_eta(eta: float) -> tuple[float, float, bool]:
-    state, partition, px, py, pz = _ghz3_canonical()
-    value = spin_three_obs(state, partition, px, py, pz, DetectionModel(eta))
-    return value.value, value.bound, value.verdict
-
-
-def _two_obs_eta(eta: float) -> tuple[float, float, bool]:
-    state, partition, px, py, _ = _ghz3_canonical()
-    value = spin_two_obs(state, partition, px, py, DetectionModel(eta))
-    return value.value, value.bound, value.verdict
-
-
-SWEEP_SCENARIOS: dict[str, SweepScenario] = {
-    "noise-genuine-sum": SweepScenario(
-        "qubit", "p", CriterionId.SPIN_SUM_2OBS.value, _noise_genuine_sum
-    ),
-    "cv-genuine-sum": SweepScenario(
-        "cv", "r", CriterionId.CV_FIXED_COMBO.value, _cv_genuine_sum
-    ),
-    "cv-fixed-combo": SweepScenario(
-        "cv", "r", CriterionId.CV_FIXED_COMBO.value, _cv_fixed_combo
-    ),
-    "three-obs-eta": SweepScenario(
-        "qubit", "eta", CriterionId.SPIN_SUM_3OBS.value, _three_obs_eta
-    ),
-    "two-obs-eta": SweepScenario(
-        "qubit", "eta", CriterionId.SPIN_SUM_2OBS.value, _two_obs_eta
-    ),
-}
-
-
 def run_sweep(config: SweepConfig) -> tuple[dict, ...]:
     """Evaluate the configured scenario at each grid point, in grid order."""
     try:
-        scenario = SWEEP_SCENARIOS[config.scenario]
+        scenario = SCENARIOS[config.scenario]
     except KeyError:
-        known = ", ".join(sorted(SWEEP_SCENARIOS))
+        known = ", ".join(sorted(SCENARIOS))
         raise ValueError(
             f"unknown sweep scenario {config.scenario!r}; known: {known}"
         ) from None

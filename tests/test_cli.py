@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from steerkit.cli import RunReport, build_parser, main
+from steerkit.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -16,24 +16,6 @@ def run_cli(capsys, *argv):
 
 def json_records(stdout):
     return [json.loads(line) for line in stdout.splitlines()]
-
-
-class TestRunReport:
-    def test_json_round_trip(self):
-        report = RunReport(
-            "0.1.0",
-            "ghz-qubit",
-            {"n": 3, "criterion": "two-obs"},
-            ({"record": "steering-value", "value": 0.125, "bound": 1.0},),
-            0.0321,
-        )
-        assert RunReport.from_json(report.to_json()) == report
-
-    def test_round_trip_preserves_floats_exactly(self):
-        value = 0.1 + 0.2
-        report = RunReport("0.1.0", "sweep", {}, ({"value": value},), 1e-9)
-        parsed = RunReport.from_json(report.to_json())
-        assert parsed.records[0]["value"] == value
 
 
 class TestGhzQubitCommand:
