@@ -82,6 +82,8 @@ def _parse_eta_grid(text: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise UsageError(f"grid values must be numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise UsageError(f"grid values must be finite, got {text!r}")
     if step <= 0.0:
         raise UsageError(f"grid step must be positive, got {step}")
     if stop < start:
@@ -133,9 +135,13 @@ def _cmd_ghz_qubit(args) -> tuple[list[dict], dict]:
     return [value.to_dict()], parameters
 
 
+def _check_squeezing(r: float) -> None:
+    if not (math.isfinite(r) and r >= 0.0):
+        raise UsageError(f"--r must be finite and non-negative, got {r}")
+
+
 def _cmd_ghz_cv(args) -> tuple[list[dict], dict]:
-    if args.r < 0.0:
-        raise UsageError(f"--r must be non-negative, got {args.r}")
+    _check_squeezing(args.r)
     if not 1 <= args.target <= 3:
         raise UsageError(f"--target must lie in 1..3, got {args.target}")
     state = gaussian.cv_ghz(args.r)
@@ -162,8 +168,7 @@ def _cmd_ghz_cv(args) -> tuple[list[dict], dict]:
 
 
 def _cmd_eavesdrop(args) -> tuple[list[dict], dict]:
-    if args.r < 0.0:
-        raise UsageError(f"--r must be non-negative, got {args.r}")
+    _check_squeezing(args.r)
     grid = _parse_eta_grid(args.eta_grid)
     if any(not 0.0 <= eta <= 1.0 for eta in grid):
         raise UsageError("efficiencies must lie in [0, 1]")

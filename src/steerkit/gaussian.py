@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -50,6 +50,8 @@ class GaussianState:
     def __post_init__(self) -> None:
         mean = np.array(self.mean, dtype=float)
         cov = np.array(self.cov, dtype=float)
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean and covariance must be finite")
         if mean.ndim != 1 or mean.size < 2 or mean.size % 2:
             raise ValueError("mean must be a flat vector of length 2 * n_modes")
         if cov.shape != (mean.size, mean.size):
@@ -126,8 +128,8 @@ def beamsplitter_matrix(n_modes: int, mode_i: int, mode_j: int, transmissivity: 
 
 
 def squeeze(state: GaussianState, mode: int, r: float, angle: float = 0.0) -> GaussianState:
-    if r < 0.0:
-        raise ValueError(f"squeezing strength must be non-negative, got {r}")
+    if not (math.isfinite(r) and r >= 0.0):
+        raise ValueError(f"squeezing strength must be finite and non-negative, got {r}")
     return apply_symplectic(state, squeeze_matrix(state.n_modes, mode, r, angle))
 
 

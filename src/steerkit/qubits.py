@@ -49,6 +49,9 @@ class PureState:
 
     def __post_init__(self) -> None:
         amp = np.array(self.amplitudes, dtype=complex)
+        # every check below compares with >, which is false for NaN
+        if not np.isfinite(amp).all():
+            raise ValueError("amplitudes must be finite")
         if amp.ndim != 1 or amp.size < 2 or amp.size & (amp.size - 1):
             raise ValueError("amplitude vector length must be a power of two, at least 2")
         _check_n_qubits(amp.size.bit_length() - 1)
@@ -73,6 +76,8 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=complex)
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix entries must be finite")
         dim = mat.shape[0] if mat.ndim == 2 else 0
         if mat.ndim != 2 or mat.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
             raise ValueError("density matrix must be square with power-of-two dimension")

@@ -10,10 +10,9 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import criteria, gaussian, qubits
-from .core import CriterionId, SitePartition, SteeringValue
+from .core import CriterionId, SitePartition
 from .criteria import (
     CollectiveSteeringReport,
-    GenuineSteeringReport,
     MonogamyResult,
     collective_scan,
     cv3_genuine_report,

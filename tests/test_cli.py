@@ -246,6 +246,22 @@ class TestDeterminismAndPlumbing:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ghz-cv", "--r", "nan"],
+            ["ghz-cv", "--r", "inf"],
+            ["eavesdrop", "--r", "nan"],
+            ["eavesdrop", "--eta-grid", "0:1:nan"],
+            ["eavesdrop", "--eta-grid", "0:inf:0.1"],
+            ["eavesdrop", "--eta-grid", "nan:1:0.1"],
+        ],
+    )
+    def test_non_finite_input_is_usage_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "usage error" in err
+
     def test_unknown_flag_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, "ghz-qubit", "--warp", "9")
         assert code == 2

@@ -58,6 +58,18 @@ class TestVacuumAndValidation:
         with pytest.raises(ValueError):
             GaussianState(np.zeros(2), 0.5 * np.eye(2))
 
+    @pytest.mark.parametrize(
+        "mean, cov",
+        [
+            ([math.nan, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+            ([0.0, 0.0], [[math.nan, 0.0], [0.0, 1.0]]),
+            ([0.0, 0.0], [[math.inf, 0.0], [0.0, 1.0]]),
+        ],
+    )
+    def test_rejects_non_finite_moments(self, mean, cov):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianState(np.array(mean), np.array(cov))
+
     def test_arrays_are_frozen(self):
         state = vacuum(1)
         with pytest.raises(ValueError):
@@ -82,6 +94,13 @@ class TestCircuitOperations:
     def test_squeeze_rejects_negative_r(self):
         with pytest.raises(ValueError):
             squeeze(vacuum(1), 1, -0.1)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_squeezing_rejects_non_finite_r(self, r):
+        with pytest.raises(ValueError, match="finite"):
+            squeeze(vacuum(1), 1, r)
+        with pytest.raises(ValueError, match="finite"):
+            cv_ghz(r)
 
     def test_beamsplitter_full_transmission_passes_modes_through(self):
         # T=1 reflects mode j's quadratures (x_j, p_j) -> -(x_j, p_j), so the

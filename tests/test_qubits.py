@@ -78,6 +78,19 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             DensityMatrix(bad)
 
+    @pytest.mark.parametrize(
+        "cls, data",
+        [
+            (PureState, [1.0, math.nan]),
+            (PureState, [math.inf, 0.0]),
+            (DensityMatrix, [[math.nan, 0.0], [0.0, 1.0]]),
+            (DensityMatrix, [[0.5, math.nan], [math.nan, 0.5]]),
+        ],
+    )
+    def test_rejects_non_finite_entries(self, cls, data):
+        with pytest.raises(ValueError, match="finite"):
+            cls(np.array(data))
+
     def test_arrays_are_frozen(self):
         state = ghz(2)
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from steerkit.core import SitePartition
 from steerkit.gaussian import cv_ghz, p_quadrature, quadrature_combo
 from steerkit.qubits import depolarize_global, ghz
 from steerkit.scenarios import (
+    THRESHOLD_SCENARIOS,
     ComboShotPlan,
     SpinSumShotPlan,
     SweepConfig,
@@ -213,6 +214,23 @@ class TestSweeps:
         assert rows[1]["value"] == pytest.approx(6.0)
         assert rows[2]["value"] == pytest.approx(0.0, abs=1e-12)
         assert rows[2]["verdict"] is True
+
+    # threshold scenario -> (backend, parameter, sweep scenario it bisects)
+    THRESHOLD_LINKS = {
+        "three-obs-eta": ("qubit", "eta", "three-obs-eta"),
+        "two-obs-eta": ("qubit", "eta", "two-obs-eta"),
+        "cv-genuine-r": ("cv", "r", "cv-genuine-sum"),
+    }
+
+    def test_threshold_names_are_linked(self):
+        assert set(THRESHOLD_SCENARIOS) == set(self.THRESHOLD_LINKS)
+
+    @pytest.mark.parametrize("name", sorted(THRESHOLD_LINKS))
+    def test_threshold_bracket_straddles_sweep_flip(self, name):
+        backend, parameter, scenario = self.THRESHOLD_LINKS[name]
+        result = run_threshold_scenario(name)
+        rows = run_sweep(SweepConfig(backend, scenario, parameter, result.bracket))
+        assert rows[0]["verdict"] != rows[1]["verdict"]
 
     def test_cv_sweep_flips_at_known_squeezing(self):
         grid = (0.9, 0.95, 1.0, 1.05)
