@@ -74,6 +74,10 @@ def _emit(command: str, parameters: dict, records: list[dict], fmt: str, stream)
             writer.writerow([_csv_cell(record.get(c)) for c in columns])
 
 
+# An eavesdrop grid point costs about 2 ms, so the largest grid runs ~20 s.
+MAX_GRID_POINTS = 10_000
+
+
 def _parse_eta_grid(text: str) -> tuple[float, ...]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -88,7 +92,11 @@ def _parse_eta_grid(text: str) -> tuple[float, ...]:
         raise UsageError(f"grid step must be positive, got {step}")
     if stop < start:
         raise UsageError(f"grid must increase, got start {start} > stop {stop}")
+    if start < 0.0 or stop > 1.0:
+        raise UsageError(f"efficiencies must lie in [0, 1], got {text!r}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    if count > MAX_GRID_POINTS:
+        raise UsageError(f"grid has {count} points, more than {MAX_GRID_POINTS}; coarsen the step")
     return tuple(start + k * step for k in range(count))
 
 
@@ -170,6 +178,7 @@ def _cmd_ghz_cv(args) -> tuple[list[dict], dict]:
 def _cmd_eavesdrop(args) -> tuple[list[dict], dict]:
     _check_squeezing(args.r)
     grid = _parse_eta_grid(args.eta_grid)
+    # the last point may overshoot stop by rounding
     if any(not 0.0 <= eta <= 1.0 for eta in grid):
         raise UsageError("efficiencies must lie in [0, 1]")
     records = [record.to_dict() for record in scenarios.eavesdrop_sweep(args.r, grid)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -286,6 +286,59 @@ def combo_variance(state: GaussianState, combo: QuadratureCombo) -> float:
     return float(c @ state.cov @ c)
 
 
+# One stack of homodyne plans holds at most this many measured-row entries;
+# larger angle grids are solved stack by stack.
+_BATCH_ENTRIES = 1 << 16
+
+
+def _homodyne_grids(n_modes: int, modes: Sequence[int], n_angles: int) -> Iterator[np.ndarray]:
+    """Measured rows of every plan on the angle grid k*pi/n_angles, as
+    (P, len(modes), 2n) stacks of at most _BATCH_ENTRIES entries, plans in
+    itertools.product order over the modes, first mode most significant."""
+    for mode in modes:
+        _check_mode(n_modes, mode)
+    angles = np.arange(n_angles) * math.pi / n_angles
+    cos, sin = np.cos(angles), np.sin(angles)
+    total = n_angles ** len(modes)
+    step = max(1, _BATCH_ENTRIES // (len(modes) * 2 * n_modes))
+    for start in range(0, total, step):
+        picks = np.unravel_index(
+            np.arange(start, min(start + step, total)), (n_angles,) * len(modes)
+        )
+        out = np.zeros((len(picks[0]), len(modes), 2 * n_modes))
+        for row, (mode, pick) in enumerate(zip(modes, picks)):
+            out[:, row, 2 * (mode - 1)] = cos[pick]
+            out[:, row, 2 * (mode - 1) + 1] = sin[pick]
+        yield out
+
+
+def _conditional_variances(
+    state: GaussianState, targets: Sequence[QuadratureCombo], measured: np.ndarray
+) -> np.ndarray:
+    """optimal_conditional_variance of each target for every plan of a
+    (P, k, 2n) stack of measured rows, as a (len(targets), P) array."""
+    n = state.n_modes
+    if any(target.n_modes != n for target in targets):
+        raise ValueError("target combination and state disagree on the number of modes")
+    measured_modes = np.any(measured != 0.0, axis=(0, 1)).reshape(n, 2).any(axis=1)
+    overlap = {m for target in targets for m in target.support if measured_modes[m - 1]}
+    if overlap:
+        raise ValueError(f"plan measures the target's modes {sorted(overlap)}")
+    measured_by_cov = measured @ state.cov
+    eigvals, eigvecs = np.linalg.eigh(measured_by_cov @ np.swapaxes(measured, 1, 2))
+    keep = eigvals > PINV_CUTOFF
+    safe_eigvals = np.where(keep, eigvals, 1.0)
+    rows = []
+    for target in targets:
+        t = target.coefficients
+        var_target = float(t @ state.cov @ t)
+        cross = measured_by_cov @ t
+        projected = (np.swapaxes(eigvecs, 1, 2) @ cross[..., None])[..., 0]
+        terms = np.where(keep, projected**2 / safe_eigvals, 0.0)
+        rows.append(np.maximum(var_target - terms.sum(axis=1), 0.0))
+    return np.array(rows)
+
+
 def optimal_conditional_variance(
     state: GaussianState, target: QuadratureCombo, plan: HomodynePlan
 ) -> float:
@@ -294,22 +347,8 @@ def optimal_conditional_variance(
     This is the Schur complement of the measured block; a pseudo-inverse
     handles singular measured covariances.
     """
-    n = state.n_modes
-    if target.n_modes != n:
-        raise ValueError("target combination and state disagree on the number of modes")
-    overlap = set(plan.modes) & set(target.support)
-    if overlap:
-        raise ValueError(f"plan measures the target's modes {sorted(overlap)}")
-    t = target.coefficients
-    measured = plan.vectors(n)
-    var_target = float(t @ state.cov @ t)
-    cross = measured @ state.cov @ t
-    measured_cov = measured @ state.cov @ measured.T
-    eigvals, eigvecs = np.linalg.eigh(measured_cov)
-    keep = eigvals > PINV_CUTOFF
-    projected = eigvecs.T @ cross
-    explained = float(np.sum(projected[keep] ** 2 / eigvals[keep]))
-    return max(var_target - explained, 0.0)
+    measured = plan.vectors(state.n_modes)[None]
+    return float(_conditional_variances(state, (target,), measured)[0, 0])
 
 
 def steering_product_cv(

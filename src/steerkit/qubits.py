@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -382,23 +382,130 @@ def inference_variance_with_loss(
     return max(second - mean * mean, 0.0)
 
 
-def _apply_on_axis(tensor: np.ndarray, gate: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.tensordot(gate, tensor, axes=([1], [axis]))
-    return np.moveaxis(moved, 0, axis)
+# One batch of rotated states holds at most this many amplitudes (pure states)
+# or matrix entries (mixed states); larger menus are walked batch by batch.
+_BATCH_ENTRIES = 1 << 12
 
 
-def _rotate_sites_to_z(
-    array: np.ndarray, n: int, settings: Mapping[int, str], density: bool
+def _apply_gates(gates: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
+    """Each (2, 2) gate of the stack applied on one axis of the tensor, as one
+    matrix product; the gate index is the new leading axis."""
+    moved = np.moveaxis(tensor, axis, 0)
+    out = gates.reshape(-1, 2) @ moved.reshape(2, -1)
+    return np.moveaxis(out.reshape(len(gates), *moved.shape), 1, axis + 1)
+
+
+def _rotate_site(batch: np.ndarray, n: int, site: int, gates: np.ndarray) -> np.ndarray:
+    """Rotate every state of the batch by every gate of the (m, 2, 2) stack on
+    one site; states are (2^n,) amplitudes or (2^n, 2^n) matrices, and the
+    gate index varies fastest in the (B * m) result."""
+    count, dim = batch.shape[:2]
+    left, right = 1 << (site - 1), 1 << (n - site)
+    out = _apply_gates(gates, batch.reshape(count, left, 2, -1), 2)
+    if batch.ndim == 3:
+        out = np.stack([
+            _apply_gates(gate.conj()[None], rows.reshape(count, dim * left, 2, right), 2)[0]
+            for gate, rows in zip(gates, out)
+        ])
+    return np.swapaxes(out.reshape(len(gates), *batch.shape), 0, 1).reshape(
+        count * len(gates), *batch.shape[1:]
+    )
+
+
+def _rotated_batches(
+    batch: np.ndarray, n: int, stacks: Sequence[tuple[int, np.ndarray]]
+) -> Iterator[np.ndarray]:
+    """The (1, ...) batch rotated by every assignment of the per-site gate
+    stacks, in itertools.product order, as batches of at most _BATCH_ENTRIES
+    entries unless a single state is larger: the trailing sites are
+    vectorised and the labels of the leading sites are walked one by one."""
+    if not stacks or batch.size * math.prod(len(g) for _, g in stacks) <= _BATCH_ENTRIES:
+        for site, gates in stacks:
+            batch = _rotate_site(batch, n, site, gates)
+        yield batch
+        return
+    (site, gates), rest = stacks[0], stacks[1:]
+    for pick in range(len(gates)):
+        yield from _rotated_batches(_rotate_site(batch, n, site, gates[pick : pick + 1]), n, rest)
+
+
+def _outcome_sums(weights: np.ndarray, pattern: np.ndarray, n_outcomes: int) -> np.ndarray:
+    """Per-state sums of (B, 2^n) weights over the basis states of each
+    steering-group outcome pattern, as (B, n_outcomes)."""
+    count = weights.shape[0]
+    bins = (np.arange(count)[:, None] * n_outcomes + pattern).ravel()
+    sums = np.bincount(bins, weights=weights.ravel(), minlength=count * n_outcomes)
+    return sums.reshape(count, n_outcomes)
+
+
+def _inference_variances(
+    state: State,
+    partition: SitePartition,
+    targets: Sequence[PauliString],
+    menus: Mapping[int, Sequence[str]],
 ) -> np.ndarray:
-    """Conjugate the state so each measured Pauli becomes Z on its site."""
-    shape = (2,) * (2 * n if density else n)
-    tensor = array.reshape(shape)
-    for site, label in settings.items():
-        gate = _TO_Z_BASIS[label]
-        tensor = _apply_on_axis(tensor, gate, site - 1)
-        if density:
-            tensor = _apply_on_axis(tensor, gate.conj(), n + site - 1)
-    return tensor.reshape(array.shape)
+    """optimal_inference_variance of each target for every assignment of the
+    group sites' menu labels, as a (len(targets), prod(len(menu))) array.
+
+    Assignments run in itertools.product order over the sorted group sites,
+    first site most significant, so argmin breaks ties like a running min.
+    """
+    n = state_qubits(state)
+    if any(target.n_sites != n for target in targets):
+        raise ValueError("target observable and state disagree on the number of sites")
+    check_partition(partition, n)
+    for target in targets:
+        _require_target_support(target, partition)
+    sites = sorted(partition.steering_group)
+    if set(menus) != set(sites):
+        raise ValueError("settings must cover exactly the steering group")
+    labels = [[str(label).upper() for label in menus[site]] for site in sites]
+    bad = [lab for menu in labels for lab in menu if lab not in _TO_Z_BASIS]
+    if bad:
+        raise ValueError(f"measurement settings must be X, Y, or Z; got {bad}")
+    stacks = [
+        (site, np.stack([_TO_Z_BASIS[lab] for lab in menu]))
+        for site, menu in zip(sites, labels)
+    ]
+
+    dim = 1 << n
+    idx = np.arange(dim, dtype=np.uint64)
+    pure = isinstance(state, PureState)
+    kernels = []
+    for target in targets:
+        flip, phase_mask, prefactor = _string_masks(target)
+        src = idx ^ np.uint64(flip)
+        signs = _parity_signs((src if pure else idx) & np.uint64(phase_mask))
+        kernels.append((src, signs, prefactor))
+
+    # Group basis indices by the steering group's outcome pattern.
+    pattern = np.zeros(dim, dtype=np.int64)
+    for site in sites:
+        bit = ((idx >> np.uint64(n - site)) & np.uint64(1)).astype(np.int64)
+        pattern = (pattern << 1) | bit
+    n_outcomes = 1 << len(sites)
+
+    batches = []
+    array = state.amplitudes if pure else state.matrix
+    for batch in _rotated_batches(array[None], n, stacks):
+        if pure:
+            probs = (np.conj(batch) * batch).real
+        else:
+            probs = np.diagonal(batch, axis1=1, axis2=2).real
+        outcome_probs = _outcome_sums(probs, pattern, n_outcomes)
+        seen = outcome_probs > 1e-14
+        safe_probs = np.where(seen, outcome_probs, 1.0)
+        rows = []
+        for src, signs, prefactor in kernels:
+            if pure:
+                values = (prefactor * np.conj(batch) * signs * batch[:, src]).real
+            else:
+                values = (prefactor * signs * batch[:, idx, src]).real
+            outcome_values = _outcome_sums(values, pattern, n_outcomes)
+            terms = np.where(seen, outcome_values**2 / safe_probs, 0.0)
+            rows.append(np.maximum(1.0 - terms.sum(axis=1), 0.0))
+        batches.append(rows)
+    return np.concatenate(batches, axis=1)
 
 
 def optimal_inference_variance(
@@ -413,47 +520,8 @@ def optimal_inference_variance(
     estimator is the conditional mean, so the result is
     sum_a P(a) * Var(T | a).
     """
-    n = state_qubits(state)
-    if target.n_sites != n:
-        raise ValueError("target observable and state disagree on the number of sites")
-    check_partition(partition, n)
-    _require_target_support(target, partition)
-    sites = sorted(partition.steering_group)
-    if set(settings) != set(sites):
-        raise ValueError("settings must cover exactly the steering group")
-    labels = {site: str(settings[site]).upper() for site in sites}
-    bad = [lab for lab in labels.values() if lab not in ("X", "Y", "Z")]
-    if bad:
-        raise ValueError(f"measurement settings must be X, Y, or Z; got {bad}")
-
-    flip, phase_mask, prefactor = _string_masks(target)
-    dim = 1 << n
-    idx = np.arange(dim, dtype=np.uint64)
-    src = idx ^ np.uint64(flip)
-
-    if isinstance(state, PureState):
-        psi = _rotate_sites_to_z(state.amplitudes, n, labels, density=False)
-        probs = (np.conj(psi) * psi).real
-        signs = _parity_signs(src & np.uint64(phase_mask))
-        values = (prefactor * np.conj(psi) * signs * psi[src]).real
-    else:
-        rho = _rotate_sites_to_z(state.matrix, n, labels, density=True)
-        probs = np.diagonal(rho).real
-        signs = _parity_signs(idx & np.uint64(phase_mask))
-        values = (prefactor * signs * rho[idx, src]).real
-
-    # Group basis indices by the steering group's outcome pattern.
-    pattern = np.zeros(dim, dtype=np.int64)
-    for site in sites:
-        bit = ((idx >> np.uint64(n - site)) & np.uint64(1)).astype(np.int64)
-        pattern = (pattern << 1) | bit
-    n_outcomes = 1 << len(sites)
-    outcome_probs = np.bincount(pattern, weights=probs, minlength=n_outcomes)
-    outcome_values = np.bincount(pattern, weights=values, minlength=n_outcomes)
-
-    seen = outcome_probs > 1e-14
-    explained = np.sum(outcome_values[seen] ** 2 / outcome_probs[seen])
-    return max(1.0 - explained, 0.0)
+    menus = {site: (label,) for site, label in settings.items()}
+    return float(_inference_variances(state, partition, (target,), menus)[0, 0])
 
 
 def random_pure_state(n: int, rng: np.random.Generator) -> PureState:

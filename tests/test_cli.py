@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from steerkit.cli import build_parser, main
+from steerkit import cli
+from steerkit.cli import UsageError, _parse_eta_grid, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -132,6 +133,23 @@ class TestEavesdropCommand:
         assert code == 2
         code, _, _ = run_cli(capsys, "eavesdrop", "--eta-grid", "a:b:c")
         assert code == 2
+
+    def test_grid_point_cap(self):
+        # 0:1:1e-4 has one point more than the cap
+        with pytest.raises(UsageError, match="points"):
+            _parse_eta_grid("0:1:0.0001")
+        assert len(_parse_eta_grid("0:1:0.0001000001")) == cli.MAX_GRID_POINTS
+
+    @pytest.mark.parametrize("grid", ["-0.1:1:0.1", "0:1.5:0.5", "-3:-1:1"])
+    def test_grid_outside_unit_interval_refused_before_building(self, grid):
+        with pytest.raises(UsageError, match=r"\[0, 1\]"):
+            _parse_eta_grid(grid)
+
+    def test_oversized_grid_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "eavesdrop", "--eta-grid", "0:1:0.0001")
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err
 
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(

@@ -1,6 +1,7 @@
 """Steering criteria, aggregation, monogamy, and collective scans."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -298,6 +299,29 @@ class TestCollectiveScan:
         with pytest.raises(ValueError):
             collective_scan(cv_ghz(1.0), 1, {2, 3}, config)
 
+    def test_qubit_assignment_budget_guard(self):
+        config = QubitScanConfig(max_assignments=8)
+        with pytest.raises(ValueError, match="max_assignments"):
+            collective_scan(ghz(3), 3, {1, 2}, config)
+        report = collective_scan(ghz(3), 3, {1, 2}, QubitScanConfig(max_assignments=9))
+        assert report.collective
+
+    def test_default_budget_refuses_eight_site_group(self):
+        with pytest.raises(ValueError, match="6561 assignments"):
+            collective_scan(ghz(9), 9, range(1, 9))
+
+    @pytest.mark.parametrize("n_angles", [2.5, True, "12", None])
+    def test_cv_config_rejects_non_integer_angle_count(self, n_angles):
+        with pytest.raises(ValueError, match="n_angles"):
+            CvScanConfig(n_angles=n_angles)
+
+    def test_cv_config_accepts_numpy_integer(self):
+        config = CvScanConfig(n_angles=np.int64(10**6), max_combinations=10)
+        assert type(config.n_angles) is int
+        with pytest.raises(ValueError, match="max_combinations"):
+            # 10**24 combinations; as an int64 power this would wrap around
+            collective_scan(gaussian.eavesdrop_scenario(1.0, 0.5), 1, {2, 3, 4, 5}, config)
+
     def test_four_party_ghz_subsets_cannot_steer(self):
         report = collective_scan(ghz(4), 4, {1, 2, 3})
         assert report.full_group.value == pytest.approx(0.0, abs=1e-12)
@@ -305,6 +329,82 @@ class TestCollectiveScan:
         for value in report.subsets:
             assert value.value >= 1.0 - 1e-9
         assert report.collective
+
+
+def _subset_values(report):
+    return {v.partition.steering_group: v.value for v in (report.full_group, *report.subsets)}
+
+
+def _brute_force_spin_sum(state, group, target, menu):
+    n = qubits.state_qubits(state)
+    sites = sorted(group)
+    part = SitePartition(frozenset(group), target)
+    return sum(
+        min(
+            qubits.optimal_inference_variance(
+                state, part, PauliString.single(n, target, label), dict(zip(sites, choice))
+            )
+            for choice in product(menu, repeat=len(sites))
+        )
+        for label in "XY"
+    )
+
+
+def _brute_force_cv_product(state, group, target, n_angles):
+    n = state.n_modes
+    modes = sorted(group)
+    angles = [k * math.pi / n_angles for k in range(n_angles)]
+    best = [
+        min(
+            gaussian.optimal_conditional_variance(
+                state, quadrature(n, target), HomodynePlan.of(dict(zip(modes, choice)))
+            )
+            for choice in product(angles, repeat=len(modes))
+        )
+        for quadrature in (gaussian.x_quadrature, gaussian.p_quadrature)
+    ]
+    return math.sqrt(best[0]) * math.sqrt(best[1])
+
+
+class TestScanMatchesBruteForce:
+    """Each subset value of the batched scan equals the minimum over one
+    kernel call per setting assignment or homodyne plan."""
+
+    MENUS = [("X",), ("Y", "Y"), ("Z", "X"), ("X", "Z", "X"), ("X", "Y", "Z"), ("Z", "Y", "X")]
+
+    def test_qubit_scans(self):
+        rng = np.random.default_rng(811)
+        for trial in range(16):
+            mixed = trial % 2 == 1
+            n = int(rng.integers(2, 5 if mixed else 6))
+            state = (
+                qubits.random_density_matrix(n, rng) if mixed else qubits.random_pure_state(n, rng)
+            )
+            target = int(rng.integers(1, n + 1))
+            group = [s for s in range(1, n + 1) if s != target]
+            menu = self.MENUS[int(rng.integers(len(self.MENUS)))]
+            report = collective_scan(state, target, group, QubitScanConfig(menu))
+            values = _subset_values(report)
+            assert len(values) == 2 ** len(group) - 1
+            for subset, value in values.items():
+                want = _brute_force_spin_sum(state, subset, target, menu)
+                assert abs(value - want) <= 1e-12, (trial, sorted(subset), menu)
+
+    @pytest.mark.parametrize("n_angles", [1, 2, 5, 12])
+    def test_cv_scans(self, n_angles):
+        rng = np.random.default_rng(812 + n_angles)
+        for trial in range(4):
+            state = gaussian.random_pure_gaussian(3, rng)
+            if trial % 2:
+                state = gaussian.loss_channel(
+                    state, int(rng.integers(1, 4)), float(rng.uniform(0.2, 0.9))
+                )
+            target = int(rng.integers(1, 4))
+            group = sorted({1, 2, 3} - {target})
+            report = collective_scan(state, target, group, CvScanConfig(n_angles))
+            for subset, value in _subset_values(report).items():
+                want = _brute_force_cv_product(state, subset, target, n_angles)
+                assert abs(value - want) <= 1e-12, (trial, sorted(subset))
 
 
 class TestTripartiteScan:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from steerkit import gaussian, qubits
 from steerkit.cli import UsageError, _parse_eta_grid
 from steerkit.core import CriterionId, SitePartition, SteeringValue
-from steerkit.criteria import collective_scan, monogamy_check, spin_two_obs
+from steerkit.criteria import CvScanConfig, collective_scan, monogamy_check, spin_two_obs
 from steerkit.gaussian import (
     HomodynePlan,
     beamsplitter_matrix,
@@ -108,6 +108,89 @@ class TestRelabelInvariance:
             )
             moved = variance_of_difference(permuted, target_p, predictor_p)
             assert moved == pytest.approx(base, abs=1e-10)
+
+
+def _scan_values(report):
+    return {v.partition.steering_group: v.value for v in (report.full_group, *report.subsets)}
+
+
+class TestScanPermutationCovariance:
+    """Relabelling sites (modes) and the scan's target and group the same
+    way leaves every subset value unchanged."""
+
+    @staticmethod
+    def _check(state, permuted, relabel, target, group, config=None):
+        base = _scan_values(collective_scan(state, target, group, config))
+        moved = _scan_values(
+            collective_scan(permuted, relabel[target], [relabel[s] for s in group], config)
+        )
+        assert len(moved) == len(base)
+        for subset, value in base.items():
+            assert abs(moved[frozenset(relabel[s] for s in subset)] - value) <= 1e-12
+
+    def test_qubit_states(self):
+        rng = np.random.default_rng(131)
+        for trial in range(10):
+            mixed = trial % 2 == 1
+            n = 3 if mixed else 4
+            perm = rng.permutation(n)
+            relabel = {int(old) + 1: new + 1 for new, old in enumerate(perm)}
+            if mixed:
+                state = random_density_matrix(n, rng)
+                axes = list(perm) + [n + int(a) for a in perm]
+                permuted = qubits.DensityMatrix(
+                    state.matrix.reshape((2,) * (2 * n)).transpose(axes).reshape(2**n, 2**n)
+                )
+            else:
+                state = random_pure_state(n, rng)
+                permuted = qubits.PureState(
+                    state.amplitudes.reshape((2,) * n).transpose(perm).reshape(-1)
+                )
+            target = int(rng.integers(1, n + 1))
+            group = [s for s in range(1, n + 1) if s != target]
+            self._check(state, permuted, relabel, target, group)
+
+    def test_gaussian_states(self):
+        rng = np.random.default_rng(132)
+        for trial in range(6):
+            state = random_pure_gaussian(3, rng)
+            if trial % 2:
+                state = loss_channel(state, int(rng.integers(1, 4)), float(rng.uniform(0.2, 0.9)))
+            perm = rng.permutation(3)
+            relabel = {int(old) + 1: new + 1 for new, old in enumerate(perm)}
+            index = [2 * int(m) + quadrature for m in perm for quadrature in (0, 1)]
+            permuted = gaussian.GaussianState(state.mean[index], state.cov[np.ix_(index, index)])
+            target = int(rng.integers(1, 4))
+            group = sorted({1, 2, 3} - {target})
+            self._check(state, permuted, relabel, target, group, CvScanConfig(12))
+
+
+class TestGaussianSchurFloor:
+    """Conditioning on every quadrature of the group gives the Schur complement
+    M_B = s_B - s_BA s_A^-1 s_AB, so no homodyne plan infers the target better:
+    each product is at least sqrt(det M_B) (a Reid violation implies Gaussian
+    steerability)."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        efficiency=st.floats(min_value=0.05, max_value=1.0),
+        lossy_mode=st.integers(min_value=1, max_value=3),
+        target=st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_scan_products_stay_above_floor(self, seed, efficiency, lossy_mode, target):
+        state = random_pure_gaussian(3, np.random.default_rng(seed))
+        state = loss_channel(state, lossy_mode, efficiency)
+        group = sorted({1, 2, 3} - {target})
+        report = collective_scan(state, target, group, CvScanConfig(12))
+        b = [2 * (target - 1), 2 * (target - 1) + 1]
+        for subset, value in _scan_values(report).items():
+            a = [2 * (m - 1) + quadrature for m in sorted(subset) for quadrature in (0, 1)]
+            cov = state.cov
+            schur = cov[np.ix_(b, b)] - cov[np.ix_(b, a)] @ np.linalg.solve(
+                cov[np.ix_(a, a)], cov[np.ix_(a, b)]
+            )
+            assert value >= math.sqrt(np.linalg.det(schur)) - 1e-12
 
 
 class TestSymplecticClosure:
@@ -211,6 +294,10 @@ class TestCliGridParsing:
     @settings(max_examples=50)
     def test_count_matches_closed_form(self, start, step, count):
         stop = start + (count - 1) * step
+        if stop > 1.0:
+            with pytest.raises(UsageError):
+                _parse_eta_grid(f"{start}:{stop}:{step}")
+            return
         grid = _parse_eta_grid(f"{start}:{stop}:{step}")
         assert len(grid) == count
         assert grid[0] == pytest.approx(start)
