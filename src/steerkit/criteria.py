@@ -209,18 +209,9 @@ def monogamy_check(s_ba: SteeringValue, s_bc: SteeringValue) -> MonogamyResult:
 
 @dataclass(frozen=True)
 class QubitScanConfig:
-    """Finite menu of per-site Pauli settings for subset evaluation.
-
-    A group of k sites tries len(settings_menu) ** k setting assignments;
-    a group with more than max_assignments is refused before any work.  The
-    default admits k = 7 with the full menu: the full group of a mixed
-    8-qubit state takes about 12 s on one 2-vCPU machine with one BLAS
-    thread; at the ~13x growth per qubit measured up to there,
-    k = 8 on a mixed 9-qubit state would take minutes.
-    """
+    """Finite menu of per-site Pauli settings for subset evaluation."""
 
     settings_menu: tuple[str, ...] = ("X", "Y", "Z")
-    max_assignments: int = 3**7
 
     def __post_init__(self) -> None:
         menu = tuple(str(s).upper() for s in self.settings_menu)
@@ -248,6 +239,23 @@ class CvScanConfig:
 ScanConfig = Union[QubitScanConfig, CvScanConfig]
 
 
+# A qubit scan is refused, before any work, when its subsets together would
+# rotate more than this many amplitudes (pure states) or matrix entries (mixed
+# states).  Each setting assignment rotates the whole state, and a k-site group
+# has (len(menu) + 1) ** k - 1 assignments over all its nonempty subsets.  On
+# one 2-vCPU machine with one BLAS thread the scans ran at 75-220 ns per entry:
+# 32.6 s for the largest admitted GHZ scan (n = 10, 9-site group), so none of
+# the scans this admits runs to minutes.
+QUBIT_SCAN_BUDGET = 1 << 28
+
+
+def _qubit_scan_cost(state: qubits.State, group_size: int, menu_size: int) -> int:
+    """State entries rotated by a collective scan of a group of that size."""
+    n = qubits.state_qubits(state)
+    entries = 1 << (n if isinstance(state, qubits.PureState) else 2 * n)
+    return entries * ((menu_size + 1) ** group_size - 1)
+
+
 def _first_best(variances: np.ndarray, menu: Sequence, width: int) -> list:
     """Menu entries of the first minimal assignment, in itertools.product
     order over `width` sites, for each row of variances."""
@@ -265,12 +273,6 @@ def _best_spin_two_obs(
     variance minimized independently."""
     sites = sorted(group)
     menu = config.settings_menu
-    n_assignments = len(menu) ** len(sites)
-    if n_assignments > config.max_assignments:
-        raise ValueError(
-            f"settings menu has {n_assignments} assignments for {len(sites)} sites; "
-            f"shrink the menu or the group, or raise max_assignments"
-        )
     n = qubits.state_qubits(state)
     partition = SitePartition(group, target_site)
     targets = [PauliString.single(n, target_site, label) for label in "XY"]
@@ -354,6 +356,14 @@ def collective_scan(
     if target_site in group:
         raise ValueError("target site must not belong to the full group")
     config = _default_config(state, config)
+    if isinstance(config, QubitScanConfig):
+        cost = _qubit_scan_cost(state, len(group), len(config.settings_menu))
+        if cost > QUBIT_SCAN_BUDGET:
+            raise ValueError(
+                f"qubit scan would rotate {cost} state entries, more than "
+                f"QUBIT_SCAN_BUDGET = {QUBIT_SCAN_BUDGET}; shrink the group, the menu "
+                f"or the state"
+            )
     full_value = _best_value(state, group, target_site, config)
     subsets = []
     for size in range(1, len(group)):

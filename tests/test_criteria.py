@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from steerkit import gaussian, qubits
+from steerkit import criteria, gaussian, qubits
 from steerkit.core import CriterionId, SitePartition, SteeringValue, partition
 from steerkit.criteria import (
     CvScanConfig,
@@ -299,16 +299,27 @@ class TestCollectiveScan:
         with pytest.raises(ValueError):
             collective_scan(cv_ghz(1.0), 1, {2, 3}, config)
 
-    def test_qubit_assignment_budget_guard(self):
-        config = QubitScanConfig(max_assignments=8)
-        with pytest.raises(ValueError, match="max_assignments"):
-            collective_scan(ghz(3), 3, {1, 2}, config)
-        report = collective_scan(ghz(3), 3, {1, 2}, QubitScanConfig(max_assignments=9))
-        assert report.collective
+    def test_qubit_scan_cost_counts_every_subset_and_state_entry(self):
+        for state, entries in ((ghz(4), 16), (depolarize_global(ghz(4), 0.5), 256)):
+            for menu_size in (1, 2, 3):
+                subsets = sum(menu_size**j * math.comb(3, j) for j in range(1, 4))
+                cost = criteria._qubit_scan_cost(state, 3, menu_size)
+                assert cost == entries * subsets
+        # the largest admitted GHZ scan: about 33 s on a 2-vCPU machine
+        assert criteria._qubit_scan_cost(ghz(10), 9, 3) <= criteria.QUBIT_SCAN_BUDGET
 
-    def test_default_budget_refuses_eight_site_group(self):
-        with pytest.raises(ValueError, match="6561 assignments"):
-            collective_scan(ghz(9), 9, range(1, 9))
+    @pytest.mark.parametrize("n, mixed", [(11, False), (8, True)])
+    def test_qubit_scan_budget_refuses_before_any_work(self, monkeypatch, n, mixed):
+        # 2.1e9 and 1.1e9 entries, minutes of work
+        state = depolarize_global(ghz(n), 0.9) if mixed else ghz(n)
+
+        def started(*args, **kwargs):
+            raise AssertionError("the scan evaluated settings")
+
+        monkeypatch.setattr(qubits, "optimal_inference_variance", started)
+        monkeypatch.setattr(qubits, "_inference_variances", started, raising=False)
+        with pytest.raises(ValueError, match="QUBIT_SCAN_BUDGET"):
+            collective_scan(state, n, range(1, n))
 
     @pytest.mark.parametrize("n_angles", [2.5, True, "12", None])
     def test_cv_config_rejects_non_integer_angle_count(self, n_angles):

@@ -319,6 +319,30 @@ class TestOptimalInference:
             fixed = variance_of_difference(rho, target, predictor)
             assert optimal <= fixed + 1e-10
 
+    def test_partly_seen_outcomes_match_brute_oracle(self):
+        # support only where sites 1 and 2 agree, so settings with Z on both
+        # leave some group outcomes unseen; the kernel sums only seen ones
+        rng = np.random.default_rng(12)
+        for n in (4, 5):
+            bits = (np.arange(2**n) >> (n - 2)) & 3
+            amplitudes = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            amplitudes[(bits == 1) | (bits == 2)] = 0.0
+            pure = qubits.PureState(amplitudes / np.linalg.norm(amplitudes))
+            rho = np.outer(pure.amplitudes, pure.amplitudes.conj())
+            mixed = qubits.DensityMatrix(0.7 * rho + 0.3 * np.diag(np.diag(rho)))
+            partition = SitePartition(frozenset(range(1, n)), n)
+            for state in (pure, mixed):
+                matrix = rho if state is pure else state.matrix
+                for trial in range(6):
+                    settings = {1: "Z", 2: "Z"}
+                    settings.update({s: str(rng.choice(["X", "Y", "Z"])) for s in range(3, n)})
+                    target = PauliString.single(n, n, str(rng.choice(["X", "Y"])))
+                    got = optimal_inference_variance(state, partition, target, settings)
+                    want = oracles.brute_inference_variance(
+                        matrix, target.factors, target.sign, settings
+                    )
+                    assert abs(got - want) <= 1e-12
+
     def test_matches_brute_oracle(self):
         rng = np.random.default_rng(11)
         for trial in range(30):
