@@ -240,20 +240,19 @@ ScanConfig = Union[QubitScanConfig, CvScanConfig]
 
 
 # A qubit scan is refused, before any work, when its subsets together would
-# rotate more than this many amplitudes (pure states) or matrix entries (mixed
-# states).  Each setting assignment rotates the whole state, and a k-site group
-# has (len(menu) + 1) ** k - 1 assignments over all its nonempty subsets.  On
-# one 2-vCPU machine with one BLAS thread the scans ran at 75-220 ns per entry:
-# 32.6 s for the largest admitted GHZ scan (n = 10, 9-site group), so none of
-# the scans this admits runs to minutes.
+# rotate more than this many amplitudes: r * 2^n for a state of r ensemble
+# components (1 for a pure state, at most the rank for a mixed one; white noise
+# is not rotated).  Each setting assignment rotates every component, and a
+# k-site group has (len(menu) + 1) ** k - 1 assignments over all its nonempty
+# subsets.  On one 2-vCPU machine with one BLAS thread the scans ran at 75-220
+# ns per entry: 32.6 s for the largest admitted GHZ scan (n = 10, 9-site
+# group), so none of the scans this admits runs to minutes.
 QUBIT_SCAN_BUDGET = 1 << 28
 
 
 def _qubit_scan_cost(state: qubits.State, group_size: int, menu_size: int) -> int:
     """State entries rotated by a collective scan of a group of that size."""
-    n = qubits.state_qubits(state)
-    entries = 1 << (n if isinstance(state, qubits.PureState) else 2 * n)
-    return entries * ((menu_size + 1) ** group_size - 1)
+    return qubits._ensemble(state)[0].size * ((menu_size + 1) ** group_size - 1)
 
 
 def _first_best(variances: np.ndarray, menu: Sequence, width: int) -> list:

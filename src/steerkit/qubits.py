@@ -1,5 +1,7 @@
-"""Dense N-qubit states, Pauli-string observables, and inference variances.
+"""N-qubit states, Pauli-string observables, and inference variances.
 
+A pure state is a vector of 2^n amplitudes; a mixed state is a weighted
+ensemble of such vectors plus white noise, so no kernel needs a 4^n matrix.
 Conventions: site 1 is the most significant bit of the computational-basis
 index, and spin-up is |0>.  Everything here is exact linear algebra on NumPy
 arrays; no sampling is involved.
@@ -7,6 +9,7 @@ arrays; no sampling is involved.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence, Union
@@ -41,6 +44,25 @@ def _check_n_qubits(n: int) -> None:
         raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
 
 
+# Dense complex arrays (a matrix handed to DensityMatrix, `.matrix`, the
+# Ginibre draw of random_density_matrix) are refused before they are
+# allocated past this many bytes; a 2^12 x 2^12 matrix, 256 MiB, still fits.
+DENSE_BYTES_BUDGET = 1 << 28
+
+
+def _check_dense_bytes(shape: tuple[int, ...]) -> None:
+    nbytes = 16 * math.prod(shape)
+    if nbytes > DENSE_BYTES_BUDGET:
+        raise ValueError(
+            f"a dense complex array of shape {shape} takes {nbytes} bytes, more than "
+            f"DENSE_BYTES_BUDGET = {DENSE_BYTES_BUDGET}"
+        )
+
+
+def _power_of_two_dim(dim: int) -> bool:
+    return dim >= 2 and not dim & (dim - 1)
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector over n qubits."""
@@ -52,7 +74,7 @@ class PureState:
         # every check below compares with >, which is false for NaN
         if not np.isfinite(amp).all():
             raise ValueError("amplitudes must be finite")
-        if amp.ndim != 1 or amp.size < 2 or amp.size & (amp.size - 1):
+        if amp.ndim != 1 or not _power_of_two_dim(amp.size):
             raise ValueError("amplitude vector length must be a power of two, at least 2")
         _check_n_qubits(amp.size.bit_length() - 1)
         norm = np.linalg.norm(amp)
@@ -65,43 +87,113 @@ class PureState:
         return self.amplitudes.size.bit_length() - 1
 
     def density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityMatrix._from_ensemble(self.amplitudes[None], _UNIT_WEIGHT, 0.0)
 
 
-@dataclass(frozen=True)
+_UNIT_WEIGHT = freeze(np.ones(1))
+
+
+@dataclass(frozen=True, init=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix over n qubits."""
+    """Mixed state over n qubits: rho = sum_i weights[i] |c_i><c_i| + noise * I / 2^n,
+    with the unit-norm c_i as the rows of the (r, 2^n) `components`.
 
-    matrix: np.ndarray
+    DensityMatrix(matrix) checks a Hermitian, unit-trace, positive-semidefinite
+    matrix and keeps its eigenpairs as the ensemble; `.matrix` rebuilds the
+    dense matrix on first use.
+    """
 
-    def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=complex)
+    components: np.ndarray
+    weights: np.ndarray
+    noise: float
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        shape = np.shape(matrix)
+        if len(shape) != 2 or shape[0] != shape[1] or not _power_of_two_dim(shape[0]):
+            raise ValueError("density matrix must be square with power-of-two dimension")
+        _check_n_qubits(shape[0].bit_length() - 1)
+        _check_dense_bytes(shape)
+        mat = np.array(matrix, dtype=complex)
         if not np.isfinite(mat).all():
             raise ValueError("density matrix entries must be finite")
-        dim = mat.shape[0] if mat.ndim == 2 else 0
-        if mat.ndim != 2 or mat.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
-            raise ValueError("density matrix must be square with power-of-two dimension")
-        _check_n_qubits(dim.bit_length() - 1)
         if np.abs(mat - mat.conj().T).max() > 1e-10:
             raise ValueError("density matrix must be Hermitian within 1e-10")
         trace = mat.trace()
         if abs(trace - 1.0) > 1e-10:
             raise ValueError(f"density matrix must have unit trace, got {trace!r}")
-        if np.linalg.eigvalsh(mat).min() < -1e-9:
+        eigenvalues, eigenvectors = np.linalg.eigh(mat)
+        if eigenvalues[0] < -1e-9:
             raise ValueError("density matrix must be positive semidefinite within 1e-9")
-        object.__setattr__(self, "matrix", freeze(mat))
+        # rounding leaves null eigenvalues slightly negative; they carry no weight
+        keep = eigenvalues > 0.0
+        self._set(np.ascontiguousarray(eigenvectors[:, keep].T), eigenvalues[keep], 0.0)
+
+    @classmethod
+    def _from_ensemble(
+        cls, components: np.ndarray, weights: np.ndarray, noise: float
+    ) -> "DensityMatrix":
+        """The state with these (r, 2^n) components, r weights and noise weight,
+        which must be finite and non-negative, sum to 1 and have unit-norm
+        components, each within 1e-10.  The arrays are kept, not copied."""
+        components = np.asarray(components, dtype=complex)
+        weights = np.asarray(weights, dtype=float)
+        noise = float(noise)
+        if not all(np.isfinite(part).all() for part in (components, weights, noise)):
+            raise ValueError("ensemble entries must be finite")
+        if (
+            components.ndim != 2
+            or not len(components)
+            or weights.shape != components.shape[:1]
+            or not _power_of_two_dim(components.shape[1])
+        ):
+            raise ValueError("ensemble needs (r, 2^n) components and r weights, r >= 1")
+        _check_n_qubits(components.shape[1].bit_length() - 1)
+        if (weights < 0.0).any() or noise < 0.0:
+            raise ValueError("ensemble weights and noise must be non-negative")
+        total = weights.sum() + noise
+        if abs(total - 1.0) > 1e-10:
+            raise ValueError(f"ensemble weights and noise must sum to 1, got {total!r}")
+        norms = np.linalg.norm(components, axis=1)
+        if np.abs(norms - 1.0).max() > 1e-10:
+            raise ValueError("ensemble components must be normalized within 1e-10")
+        state = object.__new__(cls)
+        state._set(components, weights, noise)
+        return state
+
+    def _set(self, components: np.ndarray, weights: np.ndarray, noise: float) -> None:
+        object.__setattr__(self, "components", freeze(components))
+        object.__setattr__(self, "weights", freeze(weights))
+        object.__setattr__(self, "noise", noise)
 
     @property
     def n_qubits(self) -> int:
-        return self.matrix.shape[0].bit_length() - 1
+        return self.components.shape[1].bit_length() - 1
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense 2^n x 2^n matrix, read-only; for cross-checks, no kernel
+        reads it."""
+        dim = self.components.shape[1]
+        _check_dense_bytes((dim, dim))
+        mat = (self.components.T * self.weights) @ self.components.conj()
+        mat[np.diag_indices(dim)] += self.noise / dim
+        return freeze(mat)
 
 
 State = Union[PureState, DensityMatrix]
 
 
 def state_qubits(state: State) -> int:
-    if isinstance(state, (PureState, DensityMatrix)):
-        return state.n_qubits
+    return _ensemble(state)[0].shape[1].bit_length() - 1
+
+
+def _ensemble(state: State) -> tuple[np.ndarray, np.ndarray, float]:
+    """(components, weights, noise) of the state; a pure state is the
+    one-component ensemble of weight 1 without noise."""
+    if isinstance(state, PureState):
+        return state.amplitudes[None], _UNIT_WEIGHT, 0.0
+    if isinstance(state, DensityMatrix):
+        return state.components, state.weights, state.noise
     raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
 
 
@@ -199,16 +291,15 @@ def expectation(state: State, obs: PauliString) -> float:
             f"observable acts on {obs.n_sites} sites but state has {n} qubits"
         )
     flip, phase_mask, prefactor = _string_masks(obs)
+    components, weights, noise = _ensemble(state)
     dim = 1 << n
     idx = np.arange(dim, dtype=np.uint64)
-    if isinstance(state, PureState):
-        amp = state.amplitudes
-        src = idx ^ np.uint64(flip)
-        signs = _parity_signs(src & np.uint64(phase_mask))
-        raw = np.sum(np.conj(amp) * signs * amp[src])
-    else:
-        signs = _parity_signs(idx & np.uint64(phase_mask))
-        raw = np.sum(signs * state.matrix[idx, idx ^ np.uint64(flip)])
+    # the band rho[x, x ^ flip] of the ensemble, the noise on its diagonal
+    conj_flipped = np.conj(components[:, idx ^ np.uint64(flip)])
+    band = (weights[:, None] * (components * conj_flipped)).sum(axis=0)
+    if flip == 0:
+        band += noise / dim
+    raw = np.sum(_parity_signs(idx & np.uint64(phase_mask)) * band)
     return float((prefactor * raw).real)
 
 
@@ -295,13 +386,8 @@ def depolarize_global(state: State, p: float) -> DensityMatrix:
     """Mix with the maximally mixed state: p*rho + (1-p)*I/2^n."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing weight must lie in [0, 1], got {p}")
-    dim = 1 << state_qubits(state)
-    # the input is already validated: only the mixture pays for the PSD check
-    if isinstance(state, PureState):
-        rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    else:
-        rho = state.matrix
-    return DensityMatrix(p * rho + (1.0 - p) * np.eye(dim) / dim)
+    components, weights, noise = _ensemble(state)
+    return DensityMatrix._from_ensemble(components, p * weights, p * noise + (1.0 - p))
 
 
 @dataclass(frozen=True)
@@ -382,8 +468,8 @@ def inference_variance_with_loss(
     return max(second - mean * mean, 0.0)
 
 
-# One batch of rotated states holds at most this many amplitudes (pure states)
-# or matrix entries (mixed states); larger menus are walked batch by batch.
+# One batch of rotated states holds at most this many amplitudes, counted over
+# all components of an ensemble; larger menus are walked batch by batch.
 _BATCH_ENTRIES = 1 << 12
 
 
@@ -395,47 +481,38 @@ def _apply_gates(gates: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray
     return np.moveaxis(out.reshape(len(gates), *moved.shape), 1, axis + 1)
 
 
-def _rotate_site(batch: np.ndarray, n: int, site: int, gates: np.ndarray) -> np.ndarray:
-    """Rotate every state of the batch by every gate of the (m, 2, 2) stack on
-    one site; states are (2^n,) amplitudes or (2^n, 2^n) matrices, and the
-    gate index varies fastest in the (B * m) result."""
-    count, dim = batch.shape[:2]
-    left, right = 1 << (site - 1), 1 << (n - site)
-    out = _apply_gates(gates, batch.reshape(count, left, 2, -1), 2)
-    if batch.ndim == 3:
-        out = np.stack([
-            _apply_gates(gate.conj()[None], rows.reshape(count, dim * left, 2, right), 2)[0]
-            for gate, rows in zip(gates, out)
-        ])
+def _rotate_site(batch: np.ndarray, site: int, gates: np.ndarray) -> np.ndarray:
+    """Rotate every (2^n,) state of the batch by every gate of the (m, 2, 2)
+    stack on one site; the gate index varies fastest in the (B * m) result."""
+    count = len(batch)
+    out = _apply_gates(gates, batch.reshape(count, 1 << (site - 1), 2, -1), 2)
     return np.swapaxes(out.reshape(len(gates), *batch.shape), 0, 1).reshape(
-        count * len(gates), *batch.shape[1:]
+        count * len(gates), -1
     )
 
 
 def _rotated_batches(
-    batch: np.ndarray, n: int, stacks: Sequence[tuple[int, np.ndarray]]
+    batch: np.ndarray, stacks: Sequence[tuple[int, np.ndarray]]
 ) -> Iterator[np.ndarray]:
-    """The (1, ...) batch rotated by every assignment of the per-site gate
-    stacks, in itertools.product order, as batches of at most _BATCH_ENTRIES
-    entries unless a single state is larger: the trailing sites are
-    vectorised and the labels of the leading sites are walked one by one."""
+    """The (r, 2^n) batch rotated by every assignment of the per-site gate
+    stacks, in itertools.product order with the row index slowest, as batches
+    of at most _BATCH_ENTRIES entries unless the r rows alone are larger: the
+    trailing sites are vectorised and the labels of the leading sites are
+    walked one by one."""
     if not stacks or batch.size * math.prod(len(g) for _, g in stacks) <= _BATCH_ENTRIES:
         for site, gates in stacks:
-            batch = _rotate_site(batch, n, site, gates)
+            batch = _rotate_site(batch, site, gates)
         yield batch
         return
     (site, gates), rest = stacks[0], stacks[1:]
     for pick in range(len(gates)):
-        yield from _rotated_batches(_rotate_site(batch, n, site, gates[pick : pick + 1]), n, rest)
+        yield from _rotated_batches(_rotate_site(batch, site, gates[pick : pick + 1]), rest)
 
 
-def _outcome_sums(weights: np.ndarray, pattern: np.ndarray, n_outcomes: int) -> np.ndarray:
-    """Per-state sums of (B, 2^n) weights over the basis states of each
-    steering-group outcome pattern, as (B, n_outcomes)."""
-    count = weights.shape[0]
-    bins = (np.arange(count)[:, None] * n_outcomes + pattern).ravel()
-    sums = np.bincount(bins, weights=weights.ravel(), minlength=count * n_outcomes)
-    return sums.reshape(count, n_outcomes)
+def _outcome_sums(values: np.ndarray, bins: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Sums of the (rows, 2^n) values into the (assignments, outcomes) bins."""
+    sums = np.bincount(bins, weights=values.ravel(), minlength=shape[0] * shape[1])
+    return sums.reshape(shape)
 
 
 def _inference_variances(
@@ -470,14 +547,6 @@ def _inference_variances(
 
     dim = 1 << n
     idx = np.arange(dim, dtype=np.uint64)
-    pure = isinstance(state, PureState)
-    kernels = []
-    for target in targets:
-        flip, phase_mask, prefactor = _string_masks(target)
-        src = idx ^ np.uint64(flip)
-        signs = _parity_signs((src if pure else idx) & np.uint64(phase_mask))
-        kernels.append((src, signs, prefactor))
-
     # Group basis indices by the steering group's outcome pattern.
     pattern = np.zeros(dim, dtype=np.int64)
     for site in sites:
@@ -485,23 +554,38 @@ def _inference_variances(
         pattern = (pattern << 1) | bit
     n_outcomes = 1 << len(sites)
 
+    components, weights, noise = _ensemble(state)
+    kernels = []
+    for target in targets:
+        flip, phase_mask, prefactor = _string_masks(target)
+        src = idx ^ np.uint64(flip)
+        signs = _parity_signs(src & np.uint64(phase_mask))
+        # The noise I / 2^n is unchanged by the rotations: it adds noise / 2^k
+        # to each outcome probability, and to the outcome values of a target
+        # that flips no bit.
+        identity = 0.0
+        if flip == 0 and noise:
+            identity = (prefactor * np.bincount(pattern, signs, n_outcomes)).real * noise / dim
+        kernels.append((src, signs, prefactor, identity))
+
     batches = []
-    array = state.amplitudes if pure else state.matrix
-    for batch in _rotated_batches(array[None], n, stacks):
-        if pure:
-            probs = (np.conj(batch) * batch).real
-        else:
-            probs = np.diagonal(batch, axis1=1, axis2=2).real
-        outcome_probs = _outcome_sums(probs, pattern, n_outcomes)
+    scaled = np.sqrt(weights)[:, None] * components
+    for batch in _rotated_batches(scaled, stacks):
+        # rows run over (component, assignment): each assignment's outcome
+        # sums collect every component
+        shape = (len(batch) // len(components), n_outcomes)
+        bins = ((np.arange(len(batch)) % shape[0])[:, None] * n_outcomes + pattern).ravel()
+        outcome_probs = _outcome_sums((np.conj(batch) * batch).real, bins, shape)
+        if noise:
+            outcome_probs += noise / n_outcomes
         seen = outcome_probs > 1e-14
         safe_probs = np.where(seen, outcome_probs, 1.0)
         rows = []
-        for src, signs, prefactor in kernels:
-            if pure:
-                values = (prefactor * np.conj(batch) * signs * batch[:, src]).real
-            else:
-                values = (prefactor * signs * batch[:, idx, src]).real
-            outcome_values = _outcome_sums(values, pattern, n_outcomes)
+        for src, signs, prefactor, identity in kernels:
+            values = (prefactor * np.conj(batch) * signs * batch[:, src]).real
+            outcome_values = _outcome_sums(values, bins, shape)
+            if noise:
+                outcome_values += identity
             terms = np.where(seen, outcome_values**2 / safe_probs, 0.0)
             rows.append(np.maximum(1.0 - terms.sum(axis=1), 0.0))
         batches.append(rows)
@@ -534,13 +618,16 @@ def random_pure_state(n: int, rng: np.random.Generator) -> PureState:
 def random_density_matrix(
     n: int, rng: np.random.Generator, rank: int | None = None
 ) -> DensityMatrix:
-    """Random mixed state: normalized G G^dag with Ginibre-distributed G."""
+    """Random mixed state: normalized G G^dag with Ginibre-distributed G, kept
+    as the ensemble of G's normalized columns weighted by their squared norms."""
     _check_n_qubits(n)
     dim = 1 << n
     if rank is None:
         rank = dim
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must lie in 1..{dim}, got {rank}")
+    _check_dense_bytes((rank, dim))
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    rho = g @ g.conj().T
-    return DensityMatrix(rho / rho.trace().real)
+    norms = np.linalg.norm(g, axis=0)
+    columns = np.ascontiguousarray((g / norms).T)
+    return DensityMatrix._from_ensemble(columns, norms**2 / np.sum(norms**2), 0.0)

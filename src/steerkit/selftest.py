@@ -39,8 +39,8 @@ def _check_ghz_amplitudes() -> None:
     assert np.abs(state.amplitudes[1:7]).max() == 0.0
 
 
-def _check_ghz_predictors_zero_variance() -> None:
-    for n in range(2, 9):
+def _check_ghz_closed_forms() -> None:
+    for n in range(2, qubits.MAX_QUBITS + 1):
         state = qubits.ghz(n)
         for component in ("x", "y"):
             target = PauliString.single(n, n, component.upper())
@@ -48,6 +48,10 @@ def _check_ghz_predictors_zero_variance() -> None:
             var = qubits.variance_of_difference(state, target, predictor)
             if var > 1e-12:
                 raise AssertionError(f"n={n} component={component}: variance {var}")
+        partition = SitePartition(frozenset(range(1, n)), n)
+        px, py = qubits.ghz_predictor(n, "x"), qubits.ghz_predictor(n, "y")
+        noisy = qubits.depolarize_global(state, 0.9)
+        _close(criteria.spin_two_obs(noisy, partition, px, py).value, 4 * (1 - 0.9), 1e-9)
 
 
 def _check_expectations() -> None:
@@ -309,7 +313,10 @@ def _check_collective() -> None:
 
 CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
     ("ghz amplitudes", _check_ghz_amplitudes),
-    ("ghz predictors give zero variance for 2..8 qubits", _check_ghz_predictors_zero_variance),
+    (
+        f"ghz predictors: zero variance, 4(1 - p) when depolarized, 2..{qubits.MAX_QUBITS} qubits",
+        _check_ghz_closed_forms,
+    ),
     ("pauli expectations on ghz(3)", _check_expectations),
     ("global depolarizing mixture", _check_depolarize),
     ("optimal inference variances", _check_optimal_inference),

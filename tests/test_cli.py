@@ -68,6 +68,12 @@ class TestGhzQubitCommand:
         assert record["value"] == pytest.approx(1.5, abs=1e-10)
 
 
+    def test_noisy_state_at_max_qubits(self, capsys):
+        code, out, _ = run_cli(capsys, "ghz-qubit", "--n", "14", "--noise-p", "0.9")
+        assert code == 0
+        assert abs(json_records(out)[-1]["value"] - 0.4) <= 1e-9
+
+
 class TestGhzCvCommand:
     def test_genuine_sum_at_unit_squeezing(self, capsys):
         code, out, _ = run_cli(capsys, "ghz-cv", "--r", "1.0", "--criterion", "genuine-sum")

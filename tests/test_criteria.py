@@ -21,7 +21,13 @@ from steerkit.criteria import (
     spin_two_obs,
 )
 from steerkit.gaussian import HomodynePlan, cv_ghz, steering_product_cv, vacuum
-from steerkit.qubits import DetectionModel, PauliString, depolarize_global, ghz
+from steerkit.qubits import (
+    DetectionModel,
+    PauliString,
+    depolarize_global,
+    ghz,
+    random_density_matrix,
+)
 
 
 def canonical_value(criterion, group, target, value, bound=1.0):
@@ -148,6 +154,28 @@ class TestSpinThreeObs:
         value = spin_three_obs(ghz(3), part, px, py, pz, DetectionModel(1.0 / 3.0))
         assert value.value == pytest.approx(2.0, abs=1e-12)
         assert not value.verdict
+
+
+class TestNoisyGhzClosedForms:
+    """On p|GHZ><GHZ| + (1 - p) I / 2^n every spin-sum term has <T> = <P> = 0
+    and <TP> = p: 2 - 2p without a detection model, and
+    eta (2 - 2p) + (1 - eta) under the marginal-mean policy."""
+
+    @pytest.mark.parametrize("n", range(2, qubits.MAX_QUBITS + 1))
+    def test_spin_sums_up_to_max_qubits(self, n):
+        part = partition(range(1, n), n)
+        px, py = qubits.ghz_predictor(n, "x"), qubits.ghz_predictor(n, "y")
+        pz = qubits.ghz_z_predictor(n)
+        for p in (0.3, 0.9):
+            state = depolarize_global(ghz(n), p)
+            for model in (None, DetectionModel(0.7)):
+                term = 2.0 - 2.0 * p
+                if model is not None:
+                    term = model.efficiency * term + (1.0 - model.efficiency)
+                two = spin_two_obs(state, part, px, py, model).value
+                three = spin_three_obs(state, part, px, py, pz, model).value
+                assert abs(two - 2 * term) <= 1e-9
+                assert abs(three - 3 * term) <= 1e-9
 
 
 class TestGenuineAggregate:
@@ -300,7 +328,8 @@ class TestCollectiveScan:
             collective_scan(cv_ghz(1.0), 1, {2, 3}, config)
 
     def test_qubit_scan_cost_counts_every_subset_and_state_entry(self):
-        for state, entries in ((ghz(4), 16), (depolarize_global(ghz(4), 0.5), 256)):
+        # a depolarized pure state is one component plus noise: 2^4 entries
+        for state, entries in ((ghz(4), 16), (depolarize_global(ghz(4), 0.5), 16)):
             for menu_size in (1, 2, 3):
                 subsets = sum(menu_size**j * math.comb(3, j) for j in range(1, 4))
                 cost = criteria._qubit_scan_cost(state, 3, menu_size)
@@ -310,8 +339,9 @@ class TestCollectiveScan:
 
     @pytest.mark.parametrize("n, mixed", [(11, False), (8, True)])
     def test_qubit_scan_budget_refuses_before_any_work(self, monkeypatch, n, mixed):
-        # 2.1e9 and 1.1e9 entries, minutes of work
-        state = depolarize_global(ghz(n), 0.9) if mixed else ghz(n)
+        # 2.1e9 and 1.1e9 entries (a full-rank mixed state has 2^n components),
+        # minutes of work
+        state = random_density_matrix(n, np.random.default_rng(8)) if mixed else ghz(n)
 
         def started(*args, **kwargs):
             raise AssertionError("the scan evaluated settings")

@@ -9,7 +9,13 @@ from hypothesis import given, settings, strategies as st
 from steerkit import gaussian, qubits
 from steerkit.cli import UsageError, _parse_eta_grid
 from steerkit.core import CriterionId, SitePartition, SteeringValue
-from steerkit.criteria import CvScanConfig, collective_scan, monogamy_check, spin_two_obs
+from steerkit.criteria import (
+    CvScanConfig,
+    collective_scan,
+    monogamy_check,
+    spin_three_obs,
+    spin_two_obs,
+)
 from steerkit.gaussian import (
     HomodynePlan,
     beamsplitter_matrix,
@@ -22,6 +28,7 @@ from steerkit.gaussian import (
     vacuum,
 )
 from steerkit.qubits import (
+    DetectionModel,
     PauliString,
     depolarize_global,
     expectation,
@@ -108,6 +115,51 @@ class TestRelabelInvariance:
             )
             moved = variance_of_difference(permuted, target_p, predictor_p)
             assert moved == pytest.approx(base, abs=1e-10)
+
+
+class TestSpinSumPermutationCovariance:
+    """Relabelling the qubits of a state, its partition and the predictors
+    the same way leaves both spin sums unchanged, with or without loss."""
+
+    @staticmethod
+    def _relabelled(string, relabel):
+        labels = {relabel[site]: string.factors[site - 1] for site in string.support}
+        return PauliString.from_sites(string.n_sites, labels, string.sign)
+
+    def test_random_ensembles(self):
+        rng = np.random.default_rng(141)
+        models = (None, DetectionModel(0.6), DetectionModel(0.8, "constant-guess", 0.5))
+        for trial in range(12):
+            n = int(rng.integers(2, 6))
+            rank = int(rng.integers(1, 2**n + 1))
+            state = depolarize_global(random_density_matrix(n, rng, rank), rng.uniform(0.2, 1.0))
+            perm = rng.permutation(n)
+            relabel = {int(old) + 1: new + 1 for new, old in enumerate(perm)}
+            axes = [0] + [1 + int(a) for a in perm]
+            permuted = qubits.DensityMatrix._from_ensemble(
+                state.components.reshape((rank,) + (2,) * n).transpose(axes).reshape(rank, -1),
+                state.weights,
+                state.noise,
+            )
+            target = int(rng.integers(1, n + 1))
+            group = frozenset(range(1, n + 1)) - {target}
+            part = SitePartition(group, target)
+            moved_part = SitePartition(frozenset(relabel[s] for s in group), relabel[target])
+            predictors = []
+            for _ in range(3):
+                labels = {s: str(rng.choice(list("IXYZ"))) for s in group}
+                predictors.append(PauliString.from_sites(n, labels, int(rng.choice([1, -1]))))
+            moved = [self._relabelled(pred, relabel) for pred in predictors]
+            for model in models:
+                pairs = (
+                    (spin_two_obs(state, part, *predictors[:2], model),
+                     spin_two_obs(permuted, moved_part, *moved[:2], model)),
+                    (spin_three_obs(state, part, *predictors, model),
+                     spin_three_obs(permuted, moved_part, *moved, model)),
+                )
+                for base, value in pairs:
+                    assert value.partition == moved_part
+                    assert abs(value.value - base.value) <= 1e-12
 
 
 def _scan_values(report):

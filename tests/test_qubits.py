@@ -447,3 +447,128 @@ class TestRandomStates:
         rho = random_density_matrix(3, np.random.default_rng(1), rank=2)
         eigs = np.sort(np.linalg.eigvalsh(rho.matrix))
         assert np.all(np.abs(eigs[:-2]) < 1e-12)
+
+
+def _random_ensemble(n, rng):
+    """Mixed state of random rank, random weights and white noise: the
+    normalized Ginibre columns of random_density_matrix, depolarized."""
+    rank = int(rng.integers(1, 2**n + 1))
+    return depolarize_global(random_density_matrix(n, rng, rank), float(rng.uniform(0.1, 0.9)))
+
+
+class TestEnsembleStates:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_kernels_match_dense_oracles(self, n):
+        rng = np.random.default_rng(300 + n)
+        for trial in range(8):
+            rho = _random_ensemble(n, rng)
+            assert rho.noise > 0.0
+            matrix = rho.matrix
+            target_site = int(rng.integers(1, n + 1))
+            group = frozenset(range(1, n + 1)) - {target_site}
+            partition = SitePartition(group, target_site)
+            # I and Z targets flip no bit, so the noise adds to their values
+            target = PauliString.single(n, target_site, str(rng.choice(list("IXYZ"))))
+            p_factors = tuple(
+                "I" if site == target_site else str(rng.choice(list("IXYZ")))
+                for site in range(1, n + 1)
+            )
+            predictor = PauliString(p_factors, int(rng.choice([1, -1])))
+            factors = tuple(str(rng.choice(list("IXYZ"))) for _ in range(n))
+            want = oracles.dense_expectation(matrix, factors, -1)
+            assert abs(expectation(rho, PauliString(factors, -1)) - want) <= 1e-12
+
+            got = variance_of_difference(rho, target, predictor)
+            want = oracles.dense_difference_variance(
+                matrix, target.factors, target.sign, p_factors, predictor.sign
+            )
+            assert abs(got - max(want, 0.0)) <= 1e-12
+
+            eta = float(rng.uniform(0.0, 1.0))
+            got = inference_variance_with_loss(
+                rho, partition, target, predictor, DetectionModel(eta)
+            )
+            e_t = oracles.dense_expectation(matrix, target.factors, target.sign)
+            mean_click = e_t - oracles.dense_expectation(matrix, p_factors, predictor.sign)
+            m2_click = want + mean_click * mean_click
+            mixture = eta * m2_click + (1.0 - eta) * (1.0 - e_t * e_t) - (eta * mean_click) ** 2
+            assert abs(got - max(mixture, 0.0)) <= 1e-12
+
+            settings = {site: str(rng.choice(["X", "Y", "Z"])) for site in group}
+            got = optimal_inference_variance(rho, partition, target, settings)
+            want = oracles.brute_inference_variance(matrix, target.factors, target.sign, settings)
+            assert abs(got - want) <= 1e-12
+
+    def test_dense_matrix_round_trips(self):
+        rng = np.random.default_rng(310)
+        for n in (1, 2, 3, 4):
+            for rank in (1, 2, 2**n):
+                matrix = random_density_matrix(n, rng, rank).matrix
+                rebuilt = DensityMatrix(matrix).matrix
+                np.testing.assert_allclose(rebuilt, matrix, rtol=0, atol=1e-12)
+
+    def test_dense_matrix_keeps_only_positive_weights(self):
+        rho = DensityMatrix(ghz(3).density_matrix().matrix)
+        assert rho.noise == 0.0
+        assert np.all(rho.weights > 0.0)
+        assert rho.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_matrix_is_read_only(self):
+        rho = depolarize_global(ghz(2), 0.5)
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "components, weights, noise, match",
+        [
+            ([[1.0, 0.0]], [1.2], -0.2, "non-negative"),
+            ([[1.0, 0.0], [0.0, 1.0]], [-0.1, 1.1], 0.0, "non-negative"),
+            ([[1.0, 0.0]], [0.5], 0.4, "sum to 1"),
+            ([[1.0, 0.0]], [0.5], 0.5 + 1e-9, "sum to 1"),
+            ([[1.0, 1.0]], [1.0], 0.0, "normalized"),
+            ([[1.0, 0.0], [0.6, 0.8 + 1e-9]], [0.5, 0.5], 0.0, "normalized"),
+            ([[math.nan, 0.0]], [1.0], 0.0, "finite"),
+            ([[1.0, 0.0]], [math.nan], 0.0, "finite"),
+            ([[1.0, 0.0]], [1.0], math.nan, "finite"),
+        ],
+    )
+    def test_ensemble_constructor_rejects(self, components, weights, noise, match):
+        with pytest.raises(ValueError, match=match):
+            DensityMatrix._from_ensemble(np.array(components), np.array(weights), noise)
+
+    def test_ensemble_constructor_accepts_noise_only_weighting(self):
+        rho = DensityMatrix._from_ensemble(np.array([[0.6, 0.8j]]), np.array([0.0]), 1.0)
+        np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, rtol=0, atol=1e-15)
+
+
+class TestDenseBytesBudget:
+    def test_largest_dense_matrix_admitted_is_n_12(self):
+        assert 16 * 4**12 <= qubits.DENSE_BYTES_BUDGET < 16 * 4**13
+
+    def test_matrix_refused_past_budget(self):
+        rho = depolarize_global(ghz(13), 0.9)
+        with pytest.raises(ValueError, match="DENSE_BYTES_BUDGET"):
+            rho.matrix
+
+    def test_dense_constructor_checks_shape_before_copying(self):
+        # a zero-memory view of a 2^13 x 2^13 matrix
+        view = np.broadcast_to(np.complex128(0.0), (2**13, 2**13))
+        with pytest.raises(ValueError, match="DENSE_BYTES_BUDGET"):
+            DensityMatrix(view)
+
+    @pytest.mark.parametrize("n, rank", [(13, None), (14, 1025)])
+    def test_random_state_refused_before_drawing(self, n, rank):
+        class NoDraws:
+            def normal(self, size):
+                raise AssertionError("the Ginibre matrix was drawn")
+
+        with pytest.raises(ValueError, match="DENSE_BYTES_BUDGET"):
+            random_density_matrix(n, NoDraws(), rank)
+
+    def test_low_rank_states_fit_at_max_qubits(self):
+        n = qubits.MAX_QUBITS
+        rho = random_density_matrix(n, np.random.default_rng(4), rank=3)
+        assert rho.components.shape == (3, 2**n)
+        noisy = depolarize_global(ghz(n), 0.9)
+        assert noisy.components.shape == (1, 2**n)
+        assert noisy.noise == pytest.approx(0.1)
