@@ -83,13 +83,21 @@ def _check_mode(n_modes: int, mode: int) -> None:
         raise ValueError(f"mode {mode} outside 1..{n_modes}")
 
 
+def _apply_gates(state: GaussianState, transforms: Sequence[np.ndarray]) -> GaussianState:
+    """Apply symplectic matrices in order; only the final state is validated."""
+    mean, cov = state.mean, state.cov
+    for transform in transforms:
+        cov = transform @ cov @ transform.T
+        # the sandwich is symmetric up to rounding; resymmetrize so long circuits
+        # cannot drift past the constructor's strict symmetry gate
+        cov = 0.5 * (cov + cov.T)
+        mean = transform @ mean
+    return GaussianState(mean, cov)
+
+
 def apply_symplectic(state: GaussianState, transform: np.ndarray) -> GaussianState:
     """Apply a symplectic matrix to mean and covariance."""
-    cov = transform @ state.cov @ transform.T
-    # the sandwich is symmetric up to rounding; resymmetrize so long circuits
-    # cannot drift past the constructor's strict symmetry gate
-    cov = 0.5 * (cov + cov.T)
-    return GaussianState(transform @ state.mean, cov)
+    return _apply_gates(state, (transform,))
 
 
 def squeeze_matrix(n_modes: int, mode: int, r: float, angle: float = 0.0) -> np.ndarray:
@@ -127,9 +135,13 @@ def beamsplitter_matrix(n_modes: int, mode_i: int, mode_j: int, transmissivity: 
     return out
 
 
-def squeeze(state: GaussianState, mode: int, r: float, angle: float = 0.0) -> GaussianState:
+def _check_squeezing(r: float) -> None:
     if not (math.isfinite(r) and r >= 0.0):
         raise ValueError(f"squeezing strength must be finite and non-negative, got {r}")
+
+
+def squeeze(state: GaussianState, mode: int, r: float, angle: float = 0.0) -> GaussianState:
+    _check_squeezing(r)
     return apply_symplectic(state, squeeze_matrix(state.n_modes, mode, r, angle))
 
 
@@ -160,21 +172,29 @@ def loss_channel(state: GaussianState, mode: int, efficiency: float) -> Gaussian
     return GaussianState(mean, cov)
 
 
-def _ghz_network(state: GaussianState, modes: tuple[int, int, int], r: float) -> GaussianState:
-    """One p-squeezed and two x-squeezed vacua mixed on a 1:2 then a 50:50
-    beamsplitter; produces small Var(x_j - x_k) and Var(p_1 + p_2 + p_3).
+def _ghz_network(n_modes: int, r: float) -> GaussianState:
+    """One p-squeezed and two x-squeezed vacua on modes 1-3 mixed on a 1:2 then a
+    50:50 beamsplitter; produces small Var(x_j - x_k) and Var(p_1 + p_2 + p_3).
     """
-    m1, m2, m3 = modes
-    state = squeeze(state, m1, r, math.pi / 2.0)
-    state = squeeze(state, m2, r, 0.0)
-    state = squeeze(state, m3, r, 0.0)
-    state = beamsplitter(state, m1, m2, 1.0 / 3.0)
-    return beamsplitter(state, m2, m3, 0.5)
+    _check_squeezing(r)
+    return _apply_gates(vacuum(n_modes), (
+        squeeze_matrix(n_modes, 1, r, math.pi / 2.0),
+        squeeze_matrix(n_modes, 2, r, 0.0),
+        squeeze_matrix(n_modes, 3, r, 0.0),
+        beamsplitter_matrix(n_modes, 1, 2, 1.0 / 3.0),
+        beamsplitter_matrix(n_modes, 2, 3, 0.5),
+    ))
+
+
+def _tap(network: GaussianState, efficiency: float) -> GaussianState:
+    """Tap modes 2 and 3 of the 5-mode network onto the vacua of modes 4 and 5."""
+    taps = (beamsplitter_matrix(5, 2, 4, efficiency), beamsplitter_matrix(5, 3, 5, efficiency))
+    return _apply_gates(network, taps)
 
 
 def cv_ghz(r: float) -> GaussianState:
     """Three-mode GHZ-type resource with squeezing strength r."""
-    return _ghz_network(vacuum(3), (1, 2, 3), r)
+    return _ghz_network(3, r)
 
 
 def eavesdrop_scenario(r: float, efficiency: float) -> GaussianState:
@@ -183,9 +203,7 @@ def eavesdrop_scenario(r: float, efficiency: float) -> GaussianState:
     """
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError(f"efficiency must lie in [0, 1], got {efficiency}")
-    state = _ghz_network(vacuum(5), (1, 2, 3), r)
-    state = beamsplitter(state, 2, 4, efficiency)
-    return beamsplitter(state, 3, 5, efficiency)
+    return _tap(_ghz_network(5, r), efficiency)
 
 
 @dataclass(frozen=True)
@@ -320,10 +338,11 @@ def _conditional_variances(
     n = state.n_modes
     if any(target.n_modes != n for target in targets):
         raise ValueError("target combination and state disagree on the number of modes")
-    measured_modes = np.any(measured != 0.0, axis=(0, 1)).reshape(n, 2).any(axis=1)
-    overlap = {m for target in targets for m in target.support if measured_modes[m - 1]}
-    if overlap:
-        raise ValueError(f"plan measures the target's modes {sorted(overlap)}")
+    measured_modes = measured.reshape(-1, n, 2).any(axis=(0, 2))
+    target_modes = np.array([t.coefficients for t in targets]).reshape(-1, n, 2).any(axis=(0, 2))
+    overlap = np.flatnonzero(measured_modes & target_modes) + 1
+    if overlap.size:
+        raise ValueError(f"plan measures the target's modes {overlap.tolist()}")
     measured_by_cov = measured @ state.cov
     eigvals, eigvecs = np.linalg.eigh(measured_by_cov @ np.swapaxes(measured, 1, 2))
     keep = eigvals > PINV_CUTOFF
@@ -366,11 +385,14 @@ def steering_product_cv(
     n = state.n_modes
     var_x = optimal_conditional_variance(state, x_quadrature(n, target_mode), plan_x)
     var_p = optimal_conditional_variance(state, p_quadrature(n, target_mode), plan_p)
-    value = math.sqrt(var_x) * math.sqrt(var_p)
     group = frozenset(plan_x.modes) | frozenset(plan_p.modes)
-    return SteeringValue.of(
-        CriterionId.CV_PRODUCT, SitePartition(group, target_mode), value, 1.0
-    )
+    return _product_value(var_x, var_p, group, target_mode)
+
+
+def _product_value(var_x: float, var_p: float, group: frozenset[int], target: int) -> SteeringValue:
+    """sqrt(var_x) * sqrt(var_p) of the target mode steered by the group, against 1."""
+    value = math.sqrt(var_x) * math.sqrt(var_p)
+    return SteeringValue.of(CriterionId.CV_PRODUCT, SitePartition(group, target), value, 1.0)
 
 
 def fixed_combo_steering(state: GaussianState, j: int, k: int, m: int) -> SteeringValue:

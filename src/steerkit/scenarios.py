@@ -248,15 +248,19 @@ def eavesdrop_sweep(r: float, eta_grid: Sequence[float]) -> tuple[EavesdropRecor
         raise ValueError("efficiencies must lie in [0, 1]")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("efficiency grid must be strictly increasing")
+    network = gaussian._ghz_network(5, r)
+    plans = np.stack([plan.vectors(5) for plan in (
+        HomodynePlan.x_on(2, 3), HomodynePlan.p_on(2, 3),
+        HomodynePlan.x_on(4, 5), HomodynePlan.p_on(4, 5),
+    )])
+    targets = (gaussian.x_quadrature(5, 1), gaussian.p_quadrature(5, 1))
     records = []
     for eta in grid:
-        state = gaussian.eavesdrop_scenario(r, eta)
-        accomplices = gaussian.steering_product_cv(
-            state, 1, HomodynePlan.x_on(2, 3), HomodynePlan.p_on(2, 3)
+        (x_acc, _, x_tap, _), (_, p_acc, _, p_tap) = gaussian._conditional_variances(
+            gaussian._tap(network, eta), targets, plans
         )
-        taps = gaussian.steering_product_cv(
-            state, 1, HomodynePlan.x_on(4, 5), HomodynePlan.p_on(4, 5)
-        )
+        accomplices = gaussian._product_value(x_acc, p_acc, frozenset({2, 3}), 1)
+        taps = gaussian._product_value(x_tap, p_tap, frozenset({4, 5}), 1)
         product = monogamy_check(accomplices, taps)
         records.append(
             EavesdropRecord(

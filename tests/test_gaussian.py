@@ -101,6 +101,12 @@ class TestCircuitOperations:
             squeeze(vacuum(1), 1, r)
         with pytest.raises(ValueError, match="finite"):
             cv_ghz(r)
+        with pytest.raises(ValueError, match="finite"):
+            eavesdrop_scenario(r, 0.5)
+
+    def test_circuit_validates_its_output(self):
+        with pytest.raises(ValueError, match="uncertainty principle"):
+            gaussian.apply_symplectic(vacuum(1), 0.5 * np.eye(2))
 
     def test_beamsplitter_full_transmission_passes_modes_through(self):
         # T=1 reflects mode j's quadratures (x_j, p_j) -> -(x_j, p_j), so the
@@ -201,6 +207,8 @@ class TestCvGhzResource:
     def test_rejects_negative_squeezing(self):
         with pytest.raises(ValueError):
             cv_ghz(-0.5)
+        with pytest.raises(ValueError, match="non-negative"):
+            eavesdrop_scenario(-0.1, 0.5)
 
 
 class TestCombosAndPlans:
@@ -255,7 +263,7 @@ class TestConditionalVariance:
         assert got <= 2.0 * math.exp(-2.0 * r) + 1e-12
 
     def test_rejects_plan_overlapping_target(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"plan measures the target's modes \[1\]"):
             optimal_conditional_variance(
                 vacuum(3), x_quadrature(3, 1), HomodynePlan.x_on(1, 2)
             )
@@ -353,6 +361,10 @@ class TestEavesdropScenario:
             swap[2 * (a - 1): 2 * a, 2 * (b - 1): 2 * b] = np.eye(2)
             swap[2 * (b - 1): 2 * b, 2 * (a - 1): 2 * a] = np.eye(2)
         np.testing.assert_allclose(swap @ state.cov @ swap.T, state.cov, atol=1e-12)
+
+    def test_efficiency_is_checked_before_squeezing(self):
+        with pytest.raises(ValueError, match="efficiency"):
+            eavesdrop_scenario(-1.0, 2.0)
 
     def test_output_stays_physical(self):
         for eta in (0.0, 0.3, 0.7, 1.0):

@@ -10,6 +10,7 @@ from steerkit import gaussian, qubits
 from steerkit.cli import UsageError, _parse_eta_grid
 from steerkit.core import CriterionId, SitePartition, SteeringValue
 from steerkit.criteria import (
+    MONOGAMY_TOLERANCE,
     CvScanConfig,
     collective_scan,
     monogamy_check,
@@ -18,9 +19,11 @@ from steerkit.criteria import (
 )
 from steerkit.gaussian import (
     HomodynePlan,
+    beamsplitter,
     beamsplitter_matrix,
     loss_channel,
     random_pure_gaussian,
+    squeeze,
     squeeze_matrix,
     steering_product_cv,
     symplectic_eigenvalues,
@@ -37,7 +40,7 @@ from steerkit.qubits import (
     random_pure_state,
     variance_of_difference,
 )
-from steerkit.scenarios import find_threshold
+from steerkit.scenarios import EavesdropRecord, eavesdrop_sweep, find_threshold
 
 import oracles
 
@@ -357,3 +360,56 @@ class TestCliGridParsing:
     def test_nonpositive_step_rejected(self, step):
         with pytest.raises(UsageError):
             _parse_eta_grid(f"0:1:{step}")
+
+
+def _ghz_gate_by_gate(r, n_modes):
+    """The GHZ network on modes 1-3, one public, validated call per gate."""
+    state = vacuum(n_modes)
+    state = squeeze(state, 1, r, math.pi / 2.0)
+    state = squeeze(state, 2, r, 0.0)
+    state = squeeze(state, 3, r, 0.0)
+    state = beamsplitter(state, 1, 2, 1.0 / 3.0)
+    return beamsplitter(state, 2, 3, 0.5)
+
+
+def _eavesdrop_point(r, eta):
+    """One sweep record from the public per-point API."""
+    state = gaussian.eavesdrop_scenario(r, eta)
+    accomplices = steering_product_cv(state, 1, HomodynePlan.x_on(2, 3), HomodynePlan.p_on(2, 3))
+    taps = steering_product_cv(state, 1, HomodynePlan.x_on(4, 5), HomodynePlan.p_on(4, 5))
+    product = monogamy_check(accomplices, taps)
+    return EavesdropRecord(
+        eta, accomplices.value, taps.value, product.product,
+        accomplices.verdict, taps.verdict,
+    )
+
+
+class TestEavesdropSweep:
+    @given(
+        r=st.floats(min_value=0.0, max_value=2.0),
+        inner=st.lists(
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+            max_size=6, unique=True,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_matches_per_point_evaluation(self, r, inner):
+        grid = [0.0, *sorted(inner), 1.0]
+        assert eavesdrop_sweep(r, grid) == tuple(_eavesdrop_point(r, eta) for eta in grid)
+        chain = _ghz_gate_by_gate(r, 3)
+        assert np.array_equal(gaussian.cv_ghz(r).cov, chain.cov)
+        network = _ghz_gate_by_gate(r, 5)
+        for eta in grid:
+            tapped = beamsplitter(beamsplitter(network, 2, 4, eta), 3, 5, eta)
+            assert np.array_equal(gaussian.eavesdrop_scenario(r, eta).cov, tapped.cov)
+
+    @pytest.mark.parametrize("r", [0.3, 1.0, 2.0])
+    def test_taps_at_eta_mirror_the_partners_at_one_minus_eta(self, r):
+        # a tap holds the signal weighted by sqrt(1 - eta) and the vacuum by
+        # -sqrt(eta): the legitimate mode at 1 - eta up to the vacuum's sign
+        records = eavesdrop_sweep(r, _parse_eta_grid("0:1:0.01"))
+        for record, mirror in zip(records, reversed(records)):
+            assert math.isclose(
+                record.eavesdropper_value, mirror.accomplice_value, rel_tol=1e-12
+            )
+            assert record.monogamy_product >= 1.0 - MONOGAMY_TOLERANCE

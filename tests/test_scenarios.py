@@ -127,6 +127,11 @@ class TestEavesdropSweep:
         with pytest.raises(ValueError):
             eavesdrop_sweep(1.0, [0.5, 1.5])
 
+    @pytest.mark.parametrize("r", [-0.1, math.nan, math.inf])
+    def test_rejects_bad_squeezing(self, r):
+        with pytest.raises(ValueError, match="finite"):
+            eavesdrop_sweep(r, [0.0, 1.0])
+
 
 class TestSimulateShots:
     def _spin_plan(self):
