@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import combinations, product
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -473,22 +474,52 @@ def inference_variance_with_loss(
 _BATCH_ENTRIES = 1 << 12
 
 
-def _apply_gates(gates: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
-    """Each (2, 2) gate of the stack applied on one axis of the tensor, as one
-    matrix product; the gate index is the new leading axis."""
-    moved = np.moveaxis(tensor, axis, 0)
-    out = gates.reshape(-1, 2) @ moved.reshape(2, -1)
-    return np.moveaxis(out.reshape(len(gates), *moved.shape), 1, axis + 1)
+# Read-only index arrays shared by every kernel call, in bounded caches.  At
+# n = 14 a pattern takes 32 KiB and a flip kernel 384 KiB, so the two caches
+# hold at most 8 MiB and 6 MiB.  The scan benchmark's deck reads about 150
+# patterns per cycle, all of which stay cached.
+@functools.lru_cache(maxsize=256)
+def _outcome_pattern(n: int, sites: tuple[int, ...]) -> np.ndarray:
+    """Outcome index of the sites, first site most significant, for each of
+    the 2^n basis states."""
+    idx = np.arange(1 << n, dtype=np.uint64)
+    pattern = np.zeros(1 << n, dtype=np.uint16)
+    for site in sites:
+        bit = ((idx >> np.uint64(n - site)) & np.uint64(1)).astype(np.uint16)
+        pattern = (pattern << 1) | bit
+    return freeze(pattern)
+
+
+@functools.lru_cache(maxsize=16)
+def _flip_kernel(
+    n: int, flip: int, phase_mask: int, prefactor: complex
+) -> tuple[np.ndarray, np.ndarray]:
+    """(src, phases): the Pauli string with these masks and prefactor maps
+    basis state src[x] to phases[x] times basis state x."""
+    src = np.arange(1 << n) ^ flip
+    return freeze(src), freeze(prefactor * _parity_signs(src & phase_mask))
+
+
+@functools.lru_cache(maxsize=64)
+def _gate_stack(menu: tuple[str, ...]) -> np.ndarray:
+    """(len(menu), 2, 2) rotations to the Z basis of the menu's Paulis, in
+    either case."""
+    labels = [str(label).upper() for label in menu]
+    bad = [label for label in labels if label not in _TO_Z_BASIS]
+    if bad:
+        raise ValueError(f"measurement settings must be X, Y, or Z; got {bad}")
+    return freeze(np.stack([_TO_Z_BASIS[label] for label in labels]))
 
 
 def _rotate_site(batch: np.ndarray, site: int, gates: np.ndarray) -> np.ndarray:
     """Rotate every (2^n,) state of the batch by every gate of the (m, 2, 2)
-    stack on one site; the gate index varies fastest in the (B * m) result."""
+    stack on one site, as one matrix product; the gate index varies fastest
+    in the (B * m) result."""
     count = len(batch)
-    out = _apply_gates(gates, batch.reshape(count, 1 << (site - 1), 2, -1), 2)
-    return np.swapaxes(out.reshape(len(gates), *batch.shape), 0, 1).reshape(
-        count * len(gates), -1
-    )
+    tensor = batch.reshape(count, 1 << (site - 1), 2, -1)
+    out = gates.reshape(-1, 2) @ tensor.transpose(2, 0, 1, 3).reshape(2, -1)
+    out = out.reshape(len(gates), 2, count, tensor.shape[1], tensor.shape[3])
+    return out.transpose(2, 0, 3, 1, 4).reshape(count * len(gates), -1)
 
 
 def _rotated_batches(
@@ -515,6 +546,78 @@ def _outcome_sums(values: np.ndarray, bins: np.ndarray, shape: tuple[int, int]) 
     return sums.reshape(shape)
 
 
+def _outcome_tables(
+    state: State,
+    partition: SitePartition,
+    targets: Sequence[PauliString],
+    menus: Mapping[int, Sequence[str]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome probabilities P(a), shape (A, 2^k), and target values
+    P(a) * E[T | a], shape (len(targets), A, 2^k), of the k group sites for
+    each of the A assignments of their menu labels.
+
+    Assignments run in itertools.product order over the sorted group sites
+    and outcomes a run over the group's bits, first site most significant
+    in both.  Summing out a site's outcome bits traces it out whatever its
+    label, so any subset's tables are marginals of these.
+    """
+    n = state_qubits(state)
+    if any(target.n_sites != n for target in targets):
+        raise ValueError("target observable and state disagree on the number of sites")
+    check_partition(partition, n)
+    for target in targets:
+        _require_target_support(target, partition)
+    sites = tuple(sorted(partition.steering_group))
+    if set(menus) != set(sites):
+        raise ValueError("settings must cover exactly the steering group")
+    stacks = [(site, _gate_stack(tuple(menus[site]))) for site in sites]
+
+    dim = 1 << n
+    # Group basis indices by the steering group's outcome pattern.
+    pattern = _outcome_pattern(n, sites)
+    n_outcomes = 1 << len(sites)
+    n_assignments = math.prod(len(gates) for _, gates in stacks)
+    masks = [_string_masks(target) for target in targets]
+    kernels = [_flip_kernel(n, *mask) for mask in masks]
+
+    components, weights, noise = _ensemble(state)
+    probs = np.empty((n_assignments, n_outcomes))
+    values = np.empty((len(targets), n_assignments, n_outcomes))
+    start = 0
+    scaled = np.sqrt(weights)[:, None] * components
+    for batch in _rotated_batches(scaled, stacks):
+        # rows run over (component, assignment): each assignment's outcome
+        # sums collect every component
+        shape = (len(batch) // len(components), n_outcomes)
+        rows = slice(start, start + shape[0])
+        bins = np.add.outer(np.arange(len(batch)) % shape[0] * n_outcomes, pattern).ravel()
+        conj = np.conj(batch)
+        probs[rows] = _outcome_sums((conj * batch).real, bins, shape)
+        for target_values, (src, phases) in zip(values, kernels):
+            terms = (conj * phases * batch[:, src]).real
+            target_values[rows] = _outcome_sums(terms, bins, shape)
+        start = rows.stop
+    if noise:
+        # The noise I / 2^n is unchanged by the rotations: it adds noise / 2^k
+        # to each outcome probability, and to the outcome values of a target
+        # that flips no bit.
+        probs += noise / n_outcomes
+        for target_values, (flip, _, _), (_, phases) in zip(values, masks, kernels):
+            if flip == 0:
+                target_values += np.bincount(pattern, phases.real, n_outcomes) * noise / dim
+    return probs, values
+
+
+def _table_variances(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_a P(a) * Var(T | a) = 1 - sum_a values(a)^2 / P(a) of each row of
+    outcome tables, outcomes on the last axis, reduced in place in `values`;
+    outcomes of probability up to 1e-14 are left out."""
+    seen = probs > 1e-14
+    np.divide(np.square(values, out=values), probs, out=values, where=seen)
+    values *= seen
+    return np.maximum(1.0 - values.sum(axis=-1), 0.0)
+
+
 def _inference_variances(
     state: State,
     partition: SitePartition,
@@ -527,69 +630,89 @@ def _inference_variances(
     Assignments run in itertools.product order over the sorted group sites,
     first site most significant, so argmin breaks ties like a running min.
     """
-    n = state_qubits(state)
-    if any(target.n_sites != n for target in targets):
-        raise ValueError("target observable and state disagree on the number of sites")
-    check_partition(partition, n)
-    for target in targets:
-        _require_target_support(target, partition)
-    sites = sorted(partition.steering_group)
-    if set(menus) != set(sites):
-        raise ValueError("settings must cover exactly the steering group")
-    labels = [[str(label).upper() for label in menus[site]] for site in sites]
-    bad = [lab for menu in labels for lab in menu if lab not in _TO_Z_BASIS]
-    if bad:
-        raise ValueError(f"measurement settings must be X, Y, or Z; got {bad}")
-    stacks = [
-        (site, np.stack([_TO_Z_BASIS[lab] for lab in menu]))
-        for site, menu in zip(sites, labels)
-    ]
+    return _table_variances(*_outcome_tables(state, partition, targets, menus))
 
-    dim = 1 << n
-    idx = np.arange(dim, dtype=np.uint64)
-    # Group basis indices by the steering group's outcome pattern.
-    pattern = np.zeros(dim, dtype=np.int64)
-    for site in sites:
-        bit = ((idx >> np.uint64(n - site)) & np.uint64(1)).astype(np.int64)
-        pattern = (pattern << 1) | bit
-    n_outcomes = 1 << len(sites)
 
-    components, weights, noise = _ensemble(state)
-    kernels = []
-    for target in targets:
-        flip, phase_mask, prefactor = _string_masks(target)
-        src = idx ^ np.uint64(flip)
-        signs = _parity_signs(src & np.uint64(phase_mask))
-        # The noise I / 2^n is unchanged by the rotations: it adds noise / 2^k
-        # to each outcome probability, and to the outcome values of a target
-        # that flips no bit.
-        identity = 0.0
-        if flip == 0 and noise:
-            identity = (prefactor * np.bincount(pattern, signs, n_outcomes)).real * noise / dim
-        kernels.append((src, signs, prefactor, identity))
+# The full group's outcome table is built and read in chunks of at most this
+# many bytes, one chunk per label assignment of the leading group sites.  A
+# 6-site group with a 3-label menu needs 1.1 MB, so every scan of up to 6
+# sites is one chunk.  The 9-site ghz(10) scan (242 MB of table in all) takes
+# 81 chunks; on one 2-vCPU machine it peaked at 41 MB of resident memory in
+# 3.1 s, against 37 MB in 3.4 s with 1 MiB chunks and 54 MB in 2.6 s with
+# 16 MiB chunks.
+_TABLE_CHUNK_BYTES = 1 << 22
 
-    batches = []
-    scaled = np.sqrt(weights)[:, None] * components
-    for batch in _rotated_batches(scaled, stacks):
-        # rows run over (component, assignment): each assignment's outcome
-        # sums collect every component
-        shape = (len(batch) // len(components), n_outcomes)
-        bins = ((np.arange(len(batch)) % shape[0])[:, None] * n_outcomes + pattern).ravel()
-        outcome_probs = _outcome_sums((np.conj(batch) * batch).real, bins, shape)
-        if noise:
-            outcome_probs += noise / n_outcomes
-        seen = outcome_probs > 1e-14
-        safe_probs = np.where(seen, outcome_probs, 1.0)
-        rows = []
-        for src, signs, prefactor, identity in kernels:
-            values = (prefactor * np.conj(batch) * signs * batch[:, src]).real
-            outcome_values = _outcome_sums(values, bins, shape)
-            if noise:
-                outcome_values += identity
-            terms = np.where(seen, outcome_values**2 / safe_probs, 0.0)
-            rows.append(np.maximum(1.0 - terms.sum(axis=1), 0.0))
-        batches.append(rows)
-    return np.concatenate(batches, axis=1)
+
+def _marginal_tables(probs, values, kept, lead, fixed, next_drop) -> Iterator[tuple]:
+    """(kept, probs, values) of each nonempty subset of the `kept` group
+    positions that drops positions from next_drop on, depth-first, and of
+    these tables last, so that each may be reduced in place once yielded.
+
+    probs has a label axis per kept position from `lead` on, then a bit axis
+    per kept position; values has a target axis first.  Positions below lead
+    hold the `fixed` labels, and only label 0 may be dropped.
+    """
+    free = sum(i >= lead for i in kept)
+    for at, i in enumerate(kept):
+        if len(kept) == 1 or i < next_drop or (i < lead and fixed[i]):
+            continue
+        # the leading kept positions come first and have no label axis
+        label_axis = at - (len(kept) - free) if i >= lead else None
+        bit_axis = free + at - (label_axis is not None)
+        child = []
+        for table, extra in ((probs, 0), (values, 1)):
+            if label_axis is not None:
+                table = table[(slice(None),) * (extra + label_axis) + (0,)]
+            head = (slice(None),) * (extra + bit_axis)
+            child.append(table[(*head, 0)] + table[(*head, 1)])
+        yield from _marginal_tables(*child, kept[:at] + kept[at + 1 :], lead, fixed, i + 1)
+    yield kept, probs, values
+
+
+def _subset_variances(
+    state: State,
+    partition: SitePartition,
+    targets: Sequence[PauliString],
+    menu: Sequence[str],
+    with_subsets: bool,
+) -> dict[tuple[int, ...], np.ndarray]:
+    """_inference_variances of the targets, as (len(targets), m, ..., m)
+    arrays, for the steering group and, if with_subsets, each nonempty proper
+    subset, by size in itertools.combinations order; keyed by the sorted sites.
+
+    Tracing a site out sums its outcome bits whatever it measured, so a
+    subset's outcome tables are the group's at menu label 0 on its missing
+    sites with their bits summed out.  The group's tables are built once, one
+    chunk of at most _TABLE_CHUNK_BYTES per label assignment of the `lead`
+    leading sites.
+    """
+    sites = tuple(sorted(partition.steering_group))
+    m, k = len(menu), len(sites)
+    row_bytes = 8 * (1 + len(targets)) << k
+    lead = next((j for j in range(k) if row_bytes * m ** (k - j) <= _TABLE_CHUNK_BYTES), k)
+    subsets = [sites]
+    if with_subsets:
+        subsets += [s for size in range(1, k) for s in combinations(sites, size)]
+    variances = {s: np.empty((len(targets),) + (m,) * len(s)) for s in subsets}
+    shape = (m,) * (k - lead) + (2,) * k
+    for fixed in product(range(m), repeat=lead):
+        menus = {
+            site: menu[fixed[j] : fixed[j] + 1] if j < lead else menu
+            for j, site in enumerate(sites)
+        }
+        probs, values = _outcome_tables(state, partition, targets, menus)
+        tables = _marginal_tables(
+            probs.reshape(shape), values.reshape(-1, *shape), tuple(range(k)), lead, fixed,
+            0 if with_subsets else k,
+        )
+        for kept, probs, values in tables:
+            free = sum(i >= lead for i in kept)
+            rows = (slice(None), *(fixed[i] for i in kept if i < lead))
+            variances[tuple(sites[i] for i in kept)][rows] = _table_variances(
+                probs.reshape(*probs.shape[:free], -1),
+                values.reshape(*values.shape[: free + 1], -1),
+            )
+    return variances
 
 
 def optimal_inference_variance(

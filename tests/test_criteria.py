@@ -1,6 +1,7 @@
 """Steering criteria, aggregation, monogamy, and collective scans."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -470,3 +471,66 @@ class TestTripartiteScan:
             pure_state_tripartite_scan(ghz(4))
         with pytest.raises(ValueError):
             pure_state_tripartite_scan(vacuum(4))
+
+
+class TestScanTableChunks:
+    """A scan reads its subsets from the full group's outcome tables, built
+    chunk by chunk when they exceed _TABLE_CHUNK_BYTES."""
+
+    @staticmethod
+    def _whole_table_bytes(n_group, menu_size=3, n_targets=2):
+        return 8 * (1 + n_targets) * menu_size**n_group * 2**n_group
+
+    @staticmethod
+    def _count_chunks(monkeypatch):
+        built = []
+        tables = qubits._outcome_tables
+
+        def counting(state, partition, targets, menus):
+            # the argmin re-evaluations ask for one target at a time
+            if len(targets) == 2:
+                built.append(len(partition.steering_group))
+            return tables(state, partition, targets, menus)
+
+        monkeypatch.setattr(qubits, "_outcome_tables", counting)
+        return built
+
+    @pytest.mark.parametrize("cap", [1, 2000, 10_000])
+    @pytest.mark.parametrize("kind", ["ghz6", "mixed5"])
+    def test_chunked_scan_matches_one_chunk(self, monkeypatch, kind, cap):
+        rng = np.random.default_rng(71)
+        if kind == "ghz6":
+            state, n = ghz(6), 6
+        else:
+            state, n = depolarize_global(random_density_matrix(5, rng, 3), 0.8), 5
+        targets = [PauliString.single(n, n, label) for label in "XYZ"]
+        group = SitePartition(frozenset(range(1, n)), n)
+        assert self._whole_table_bytes(n - 1) <= qubits._TABLE_CHUNK_BYTES
+        one_chunk = collective_scan(state, n, range(1, n))
+        one_chunk_variances = qubits._subset_variances(state, group, targets, "XYZ", True)
+        monkeypatch.setattr(qubits, "_TABLE_CHUNK_BYTES", cap)
+        built = self._count_chunks(monkeypatch)
+        assert collective_scan(state, n, range(1, n)) == one_chunk
+        assert len(built) > 3 and set(built) == {n - 1}
+        # a chunk holds the same products row for row as the one-chunk table
+        variances = qubits._subset_variances(state, group, targets, "XYZ", True)
+        assert variances.keys() == one_chunk_variances.keys()
+        for subset, values in variances.items():
+            assert np.array_equal(values, one_chunk_variances[subset]), subset
+
+    def test_chunked_scan_stays_below_the_whole_table(self, monkeypatch):
+        state = ghz(7)
+        collective_scan(state, 7, range(1, 7))
+        monkeypatch.setattr(qubits, "_TABLE_CHUNK_BYTES", 1 << 16)
+        built = self._count_chunks(monkeypatch)
+        tracemalloc.start()
+        try:
+            collective_scan(state, 7, range(1, 7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(built) == 27
+        assert peak < self._whole_table_bytes(6)
+
+    def test_scan_deck_groups_fit_one_chunk(self):
+        assert self._whole_table_bytes(6) <= qubits._TABLE_CHUNK_BYTES

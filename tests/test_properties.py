@@ -1,6 +1,7 @@
 """Property and fuzz tests: invariants that must hold on whole state families."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -167,6 +168,65 @@ class TestSpinSumPermutationCovariance:
 
 def _scan_values(report):
     return {v.partition.steering_group: v.value for v in (report.full_group, *report.subsets)}
+
+
+class TestSubsetTablesAreMarginals:
+    """Every subset's inference variances read from the full group's outcome
+    tables equal _inference_variances run on that subset directly: tracing a
+    site out sums its outcomes under any measurement."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_group=st.integers(min_value=1, max_value=4),
+        extra_sites=st.integers(min_value=0, max_value=1),
+        rank=st.integers(min_value=0, max_value=4),
+        noise=st.sampled_from([0.0, 0.3, 1.0]),
+        menu=st.lists(st.sampled_from("XYZ"), min_size=1, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_subset(self, seed, n_group, extra_sites, rank, noise, menu):
+        rng = np.random.default_rng(seed)
+        n = n_group + 1 + extra_sites
+        # rank 0 draws a pure state; noise 1 leaves only the white noise
+        state = random_density_matrix(n, rng, rank) if rank else random_pure_state(n, rng)
+        if noise:
+            state = depolarize_global(state, 1.0 - noise)
+        target = int(rng.integers(1, n + 1))
+        others = [s for s in range(1, n + 1) if s != target]
+        group = tuple(sorted(int(s) for s in rng.choice(others, n_group, replace=False)))
+        # Z and the identity flip no bit, so the white noise adds to their values
+        targets = [PauliString.single(n, target, label) for label in "XYZI"]
+        tables = qubits._subset_variances(
+            state, SitePartition(frozenset(group), target), targets, tuple(menu), True
+        )
+        subsets = [group] + [s for k in range(1, n_group) for s in combinations(group, k)]
+        assert list(tables) == subsets
+        for subset, got in tables.items():
+            want = qubits._inference_variances(
+                state, SitePartition(frozenset(subset), target), targets,
+                dict.fromkeys(subset, menu),
+            )
+            assert got.shape == (4,) + (len(menu),) * len(subset)
+            got = got.reshape(want.shape)
+            assert np.abs(got - want).max() <= 1e-12, subset
+            # identity: E[I | a] = 1, variance 0
+            assert np.abs(got[3]).max() <= 1e-12
+
+    def test_white_noise_marginalises_to_its_share_per_outcome(self):
+        # the maximally mixed state: every outcome of a k-site group has
+        # probability 1 / 2^k, and each target is unbiased
+        state = depolarize_global(ghz(4), 0.0)
+        group = SitePartition(frozenset({1, 2, 3}), 4)
+        probs, values = qubits._outcome_tables(
+            state, group, [PauliString.single(4, 4, "Z")], dict.fromkeys((1, 2, 3), "XZ")
+        )
+        assert np.array_equal(probs, np.full((8, 8), 1 / 8))
+        assert not values.any()
+        tables = qubits._subset_variances(
+            state, group, [PauliString.single(4, 4, label) for label in "XZ"], "XZ", True
+        )
+        for variances in tables.values():
+            assert np.array_equal(variances, np.ones_like(variances))
 
 
 class TestScanPermutationCovariance:

@@ -572,3 +572,61 @@ class TestDenseBytesBudget:
         noisy = depolarize_global(ghz(n), 0.9)
         assert noisy.components.shape == (1, 2**n)
         assert noisy.noise == pytest.approx(0.1)
+
+
+_KERNEL_CACHES = (qubits._outcome_pattern, qubits._flip_kernel, qubits._gate_stack)
+
+
+class TestKernelCaches:
+    """The per-(n, sites), per-(n, flip, phase mask) and per-menu arrays
+    shared between kernel calls."""
+
+    @staticmethod
+    def _calls():
+        rng = np.random.default_rng(61)
+        states = [ghz(3), random_pure_state(5, rng), _random_ensemble(4, rng), ghz(5)]
+        calls = []
+        # the same site tuples and targets recur at different n
+        for state, target, settings in (
+            (states[0], 3, {1: "Y", 2: "X"}),
+            (states[1], 3, {1: "Y", 2: "X"}),
+            (states[2], 3, {1: "Z", 2: "Y", 4: "X"}),
+            (states[3], 3, {1: "Y", 2: "X"}),
+            (states[1], 5, {1: "X", 3: "Z"}),
+            (states[3], 5, {1: "X", 3: "Z"}),
+            (states[2], 1, {2: "X"}),
+            (states[0], 1, {2: "X"}),
+        ):
+            n = qubits.state_qubits(state)
+            for label in "XYZ":
+                calls.append((
+                    state,
+                    SitePartition(frozenset(settings), target),
+                    PauliString.single(n, target, label),
+                    settings,
+                ))
+        return calls
+
+    def test_interleaved_calls_match_fresh_caches(self):
+        calls = self._calls()
+        interleaved = [optimal_inference_variance(*call) for call in calls]
+        interleaved_reversed = [optimal_inference_variance(*call) for call in reversed(calls)]
+        fresh = []
+        for call in calls:
+            for cache in _KERNEL_CACHES:
+                cache.cache_clear()
+            fresh.append(optimal_inference_variance(*call))
+        assert interleaved == fresh
+        assert interleaved_reversed[::-1] == fresh
+
+    def test_cached_arrays_are_read_only(self):
+        src, phases = qubits._flip_kernel(3, 1, 4, 1j)
+        arrays = (qubits._outcome_pattern(3, (1, 2)), src, phases, qubits._gate_stack(("X", "Y")))
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_pattern_puts_the_first_site_most_significant(self):
+        pattern = qubits._outcome_pattern(3, (1, 3))
+        assert pattern.tolist() == [0, 1, 0, 1, 2, 3, 2, 3]
+        assert qubits._outcome_pattern(14, tuple(range(1, 15)))[-1] == 2**14 - 1
