@@ -146,6 +146,9 @@ def _cmd_ghz_qubit(args) -> tuple[list[dict], dict]:
 def _check_squeezing(r: float) -> None:
     if not (math.isfinite(r) and r >= 0.0):
         raise UsageError(f"--r must be finite and non-negative, got {r}")
+    if r > gaussian.MAX_GHZ_SQUEEZING:
+        limit = gaussian.MAX_GHZ_SQUEEZING
+        raise UsageError(f"--r must not exceed MAX_GHZ_SQUEEZING = {limit}, got {r}")
 
 
 def _cmd_ghz_cv(args) -> tuple[list[dict], dict]:

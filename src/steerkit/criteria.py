@@ -222,7 +222,15 @@ class QubitScanConfig:
 
 @dataclass(frozen=True)
 class CvScanConfig:
-    """Homodyne-angle grid per measured mode; gains are always optimal."""
+    """Homodyne-angle grid per measured mode; gains are always optimal.
+
+    A subset of j modes tries the n_angles ** j plans on the grid
+    k * pi / n_angles, as one walk of rank-one Schur updates in which plans
+    that share leading angles share their work (gaussian._grid_variances).
+    max_combinations caps n_angles ** j per subset, checked before any work:
+    the largest admitted grids take well under a second and hold under 32 MB
+    of temporaries.
+    """
 
     n_angles: int = 36
     max_combinations: int = 200_000
@@ -306,10 +314,7 @@ def _best_cv_product(
     angles = [k * math.pi / config.n_angles for k in range(config.n_angles)]
     n = state.n_modes
     targets = [gaussian.x_quadrature(n, target_mode), gaussian.p_quadrature(n, target_mode)]
-    variances = np.concatenate([
-        gaussian._conditional_variances(state, targets, measured)
-        for measured in gaussian._homodyne_grids(n, modes, config.n_angles)
-    ], axis=1)
+    variances = gaussian._grid_variances(state, targets, modes, config.n_angles)
     best_x, best_p = (
         gaussian.optimal_conditional_variance(
             state, target, HomodynePlan.of(dict(zip(modes, best)))

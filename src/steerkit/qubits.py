@@ -295,9 +295,13 @@ def expectation(state: State, obs: PauliString) -> float:
     components, weights, noise = _ensemble(state)
     dim = 1 << n
     idx = np.arange(dim, dtype=np.uint64)
-    # the band rho[x, x ^ flip] of the ensemble, the noise on its diagonal
-    conj_flipped = np.conj(components[:, idx ^ np.uint64(flip)])
-    band = (weights[:, None] * (components * conj_flipped)).sum(axis=0)
+    # the band rho[x, x ^ flip] of the ensemble, the noise on its diagonal;
+    # one C-ordered temporary, so that the sum adds in the same order
+    band = np.take(components, idx ^ np.uint64(flip), axis=1)
+    np.conjugate(band, out=band)
+    np.multiply(components, band, out=band)
+    np.multiply(weights[:, None], band, out=band)
+    band = band.sum(axis=0)
     if flip == 0:
         band += noise / dim
     raw = np.sum(_parity_signs(idx & np.uint64(phase_mask)) * band)

@@ -74,18 +74,10 @@ def _check_optimal_inference() -> None:
     target = PauliString.single(3, 3, "X")
     both = SitePartition(frozenset({1, 2}), 3)
     one = SitePartition(frozenset({2}), 3)
-    _close(
-        qubits.optimal_inference_variance(state, both, target, {1: "Y", 2: "Y"}),
-        0.0,
-        1e-12,
-    )
+    _close(qubits.optimal_inference_variance(state, both, target, {1: "Y", 2: "Y"}), 0.0, 1e-12)
     _close(qubits.optimal_inference_variance(state, one, target, {2: "Y"}), 1.0, 1e-12)
     rho = qubits.depolarize_global(state, 0.5)
-    _close(
-        qubits.optimal_inference_variance(rho, both, target, {1: "Y", 2: "Y"}),
-        0.75,
-        1e-12,
-    )
+    _close(qubits.optimal_inference_variance(rho, both, target, {1: "Y", 2: "Y"}), 0.75, 1e-12)
 
 
 def _check_loss_model() -> None:
@@ -93,27 +85,13 @@ def _check_loss_model() -> None:
     partition = SitePartition(frozenset({1, 2}), 3)
     target = PauliString.single(3, 3, "X")
     predictor = qubits.ghz_predictor(3, "x")
-    _close(
-        qubits.inference_variance_with_loss(
-            state, partition, target, predictor, DetectionModel(1.0)
-        ),
-        0.0,
-        1e-12,
-    )
-    _close(
-        qubits.inference_variance_with_loss(
-            state, partition, target, predictor, DetectionModel(0.5)
-        ),
-        0.5,
-        1e-12,
-    )
-    _close(
-        qubits.inference_variance_with_loss(
-            state, partition, target, predictor, DetectionModel(0.5, "constant-guess", 1.0)
-        ),
-        0.75,
-        1e-12,
-    )
+    for model, want in (
+        (DetectionModel(1.0), 0.0),
+        (DetectionModel(0.5), 0.5),
+        (DetectionModel(0.5, "constant-guess", 1.0), 0.75),
+    ):
+        value = qubits.inference_variance_with_loss(state, partition, target, predictor, model)
+        _close(value, want, 1e-12)
 
 
 def _check_spin_criteria() -> None:
@@ -122,32 +100,13 @@ def _check_spin_criteria() -> None:
     px = qubits.ghz_predictor(3, "x")
     py = qubits.ghz_predictor(3, "y")
     pz = qubits.ghz_z_predictor(3)
-    _close(criteria.spin_two_obs(state, partition, px, py).value, 0.0, 1e-12)
-    _close(
-        criteria.spin_two_obs(
-            qubits.depolarize_global(state, 0.5), partition, px, py
-        ).value,
-        2.0,
-        1e-12,
-    )
-    _close(
-        criteria.spin_two_obs(
-            qubits.depolarize_global(state, 0.0), partition, px, py
-        ).value,
-        4.0,
-        1e-12,
-    )
+    for p, want in ((1.0, 0.0), (0.5, 2.0), (0.0, 4.0)):
+        mixed = state if p == 1.0 else qubits.depolarize_global(state, p)
+        _close(criteria.spin_two_obs(mixed, partition, px, py).value, want, 1e-12)
     _close(criteria.spin_three_obs(state, partition, px, py, pz).value, 0.0, 1e-12)
-    _close(
-        criteria.spin_three_obs(
-            state, partition, px, py, pz, DetectionModel(0.5)
-        ).value,
-        1.5,
-        1e-12,
-    )
-    boundary = criteria.spin_three_obs(
-        state, partition, px, py, pz, DetectionModel(1.0 / 3.0)
-    )
+    lossy = criteria.spin_three_obs(state, partition, px, py, pz, DetectionModel(0.5))
+    _close(lossy.value, 1.5, 1e-12)
+    boundary = criteria.spin_three_obs(state, partition, px, py, pz, DetectionModel(1.0 / 3.0))
     _close(boundary.value, 2.0, 1e-12)
     assert not boundary.verdict
 
@@ -168,30 +127,17 @@ def _check_genuine_sum() -> None:
     noisy = criteria.ghz3_genuine_report(qubits.depolarize_global(qubits.ghz(3), 0.95))
     _close(noisy.sum, 0.6, 1e-10)
     assert noisy.genuine
-    arithmetic = criteria.genuine_tripartite_aggregate(
-        [
-            SteeringValue.of(
-                CriterionId.SPIN_SUM_2OBS, SitePartition(frozenset({2, 3}), 1), 0.4
-            ),
-            SteeringValue.of(
-                CriterionId.SPIN_SUM_2OBS, SitePartition(frozenset({1, 3}), 2), 0.4
-            ),
-            SteeringValue.of(
-                CriterionId.SPIN_SUM_2OBS, SitePartition(frozenset({1, 2}), 3), 0.4
-            ),
-        ]
-    )
+    arithmetic = criteria.genuine_tripartite_aggregate([
+        SteeringValue.of(CriterionId.SPIN_SUM_2OBS, SitePartition(others, t), 0.4)
+        for t, others in ((1, frozenset({2, 3})), (2, frozenset({1, 3})), (3, frozenset({1, 2})))
+    ])
     _close(arithmetic.sum, 1.2, 1e-12)
     assert not arithmetic.genuine
 
 
 def _check_monogamy_boundary() -> None:
-    s_ba = SteeringValue.of(
-        CriterionId.CV_PRODUCT, SitePartition(frozenset({2}), 1), 0.5
-    )
-    s_bc = SteeringValue.of(
-        CriterionId.CV_PRODUCT, SitePartition(frozenset({3}), 1), 2.0
-    )
+    s_ba = SteeringValue.of(CriterionId.CV_PRODUCT, SitePartition(frozenset({2}), 1), 0.5)
+    s_bc = SteeringValue.of(CriterionId.CV_PRODUCT, SitePartition(frozenset({3}), 1), 2.0)
     result = criteria.monogamy_check(s_ba, s_bc)
     _close(result.product, 1.0, 1e-12)
     assert result.satisfied
@@ -226,42 +172,25 @@ def _check_cv_ghz_variances() -> None:
 
 
 def _check_fixed_combo() -> None:
-    _close(
-        gaussian.fixed_combo_steering(gaussian.vacuum(3), 1, 2, 3).value,
-        math.sqrt(6.0),
-        1e-12,
-    )
+    _close(gaussian.fixed_combo_steering(gaussian.vacuum(3), 1, 2, 3).value, math.sqrt(6.0), 1e-12)
     for r in (0.25, 0.5, 1.0):
         value = gaussian.fixed_combo_steering(gaussian.cv_ghz(r), 1, 2, 3).value
         _close(value, math.sqrt(6.0) * math.exp(-2.0 * r), 1e-10)
-    threshold = gaussian.fixed_combo_steering(
-        gaussian.cv_ghz(math.log(6.0) / 4.0), 1, 2, 3
-    )
+    threshold = gaussian.fixed_combo_steering(gaussian.cv_ghz(math.log(6.0) / 4.0), 1, 2, 3)
     _close(threshold.value, 1.0, 1e-12)
 
 
 def _check_conditional_variance() -> None:
-    state = gaussian.vacuum(3)
-    _close(
-        gaussian.optimal_conditional_variance(
-            state, gaussian.x_quadrature(3, 1), HomodynePlan.x_on(2, 3)
-        ),
-        1.0,
-        1e-12,
+    flat = gaussian.optimal_conditional_variance(
+        gaussian.vacuum(3), gaussian.x_quadrature(3, 1), HomodynePlan.x_on(2, 3)
     )
-    two_mode = gaussian.beamsplitter(
-        gaussian.squeeze(gaussian.squeeze(gaussian.vacuum(2), 1, 1.0, 0.0), 2, 1.0, math.pi / 2.0),
-        1,
-        2,
-        0.5,
+    _close(flat, 1.0, 1e-12)
+    squeezed = gaussian.squeeze(gaussian.vacuum(2), 1, 1.0, 0.0)
+    two_mode = gaussian.beamsplitter(gaussian.squeeze(squeezed, 2, 1.0, math.pi / 2.0), 1, 2, 0.5)
+    value = gaussian.optimal_conditional_variance(
+        two_mode, gaussian.x_quadrature(2, 1), HomodynePlan.x_on(2)
     )
-    _close(
-        gaussian.optimal_conditional_variance(
-            two_mode, gaussian.x_quadrature(2, 1), HomodynePlan.x_on(2)
-        ),
-        1.0 / math.cosh(2.0),
-        1e-12,
-    )
+    _close(value, 1.0 / math.cosh(2.0), 1e-12)
 
 
 def _check_steering_product() -> None:

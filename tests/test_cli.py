@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from steerkit import cli
+from steerkit import cli, gaussian
 from steerkit.cli import UsageError, _parse_eta_grid, build_parser, main
 
 
@@ -285,6 +285,38 @@ class TestDeterminismAndPlumbing:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "usage error" in err
+
+    @pytest.mark.parametrize("criterion", ["product", "fixed-combo", "genuine-sum"])
+    def test_ghz_cv_runs_up_to_the_squeezing_limit(self, capsys, criterion):
+        limit = repr(gaussian.MAX_GHZ_SQUEEZING)
+        for target in ("1", "2", "3"):
+            code, _, _ = run_cli(
+                capsys, "ghz-cv", "--r", limit, "--target", target, "--criterion", criterion
+            )
+            assert code == 0
+        code, _, err = run_cli(capsys, "ghz-cv", "--r", "4.01", "--criterion", criterion)
+        assert code == 2
+        assert "MAX_GHZ_SQUEEZING = 4.0" in err
+
+    def test_eavesdrop_runs_up_to_the_squeezing_limit(self, capsys):
+        limit = repr(gaussian.MAX_GHZ_SQUEEZING)
+        code, out, _ = run_cli(capsys, "eavesdrop", "--r", limit, "--eta-grid", "0:1:0.01")
+        assert code == 0
+        assert len(json_records(out)) == 102
+        code, _, err = run_cli(capsys, "eavesdrop", "--r", "4.01")
+        assert code == 2
+        assert "MAX_GHZ_SQUEEZING = 4.0" in err
+
+    @pytest.mark.parametrize("scenario", ["cv-genuine-sum", "cv-fixed-combo"])
+    def test_cv_sweep_runs_up_to_the_squeezing_limit(self, tmp_path, capsys, scenario):
+        config = tmp_path / "sweep.json"
+        for grid, want in (([0.5, gaussian.MAX_GHZ_SQUEEZING], 0), ([0.5, 4.01], 2)):
+            config.write_text(json.dumps(
+                {"backend": "cv", "scenario": scenario, "parameter": "r", "grid": grid}
+            ))
+            code, _, err = run_cli(capsys, "sweep", "--config", str(config))
+            assert code == want
+        assert "MAX_GHZ_SQUEEZING = 4.0" in err
 
     def test_unknown_flag_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, "ghz-qubit", "--warp", "9")

@@ -204,6 +204,16 @@ class TestCvGhzResource:
         nu = symplectic_eigenvalues(cv_ghz(1.3).cov)
         np.testing.assert_allclose(nu, np.ones(3), atol=1e-9)
 
+    def test_builds_up_to_the_squeezing_limit(self):
+        limit = gaussian.MAX_GHZ_SQUEEZING
+        assert symplectic_eigenvalues(cv_ghz(limit).cov).min() >= 1.0 - 1e-9
+        for k in range(101):
+            eavesdrop_scenario(limit, k * 0.01)
+        with pytest.raises(ValueError, match="MAX_GHZ_SQUEEZING = 4.0"):
+            cv_ghz(limit + 0.01)
+        with pytest.raises(ValueError, match="MAX_GHZ_SQUEEZING = 4.0"):
+            eavesdrop_scenario(limit + 0.01, 0.5)
+
     def test_rejects_negative_squeezing(self):
         with pytest.raises(ValueError):
             cv_ghz(-0.5)
@@ -378,6 +388,40 @@ class TestRandomGaussian:
         b = random_pure_gaussian(3, np.random.default_rng(77))
         np.testing.assert_array_equal(a.cov, b.cov)
         np.testing.assert_allclose(symplectic_eigenvalues(a.cov), np.ones(3), atol=1e-9)
+
+    @staticmethod
+    def _reference_symplectic_form(n):
+        omega = np.zeros((2 * n, 2 * n))
+        for m in range(n):
+            omega[2 * m, 2 * m + 1] = 1.0
+            omega[2 * m + 1, 2 * m] = -1.0
+        return omega
+
+    @staticmethod
+    def _reference_passive_layer(n, rng):
+        """The passive layer filled one entry at a time from the same draws."""
+        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        q, r = np.linalg.qr(z)
+        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        out = np.zeros((2 * n, 2 * n))
+        for a in range(n):
+            for b in range(n):
+                out[2 * a, 2 * b] = q.real[a, b]
+                out[2 * a, 2 * b + 1] = -q.imag[a, b]
+                out[2 * a + 1, 2 * b] = q.imag[a, b]
+                out[2 * a + 1, 2 * b + 1] = q.real[a, b]
+        return out
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_strided_fills_match_entrywise_fills(self, n):
+        assert np.array_equal(symplectic_form(n), self._reference_symplectic_form(n))
+        rng, reference_rng = np.random.default_rng(60 + n), np.random.default_rng(60 + n)
+        got = gaussian._haar_orthosymplectic(n, rng)
+        want = self._reference_passive_layer(n, reference_rng)
+        assert np.array_equal(got, want)
+        assert np.signbit(got).tolist() == np.signbit(want).tolist()
+        # the same draws, so the stream continues identically
+        assert rng.normal() == reference_rng.normal()
 
     def test_passive_layer_is_symplectic(self):
         transform = gaussian._haar_orthosymplectic(4, np.random.default_rng(3))

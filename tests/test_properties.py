@@ -1,7 +1,7 @@
 """Property and fuzz tests: invariants that must hold on whole state families."""
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from steerkit.criteria import (
     MONOGAMY_TOLERANCE,
     CvScanConfig,
     collective_scan,
+    cv3_genuine_report,
     monogamy_check,
     spin_three_obs,
     spin_two_obs,
@@ -229,6 +230,12 @@ class TestSubsetTablesAreMarginals:
             assert np.array_equal(variances, np.ones_like(variances))
 
 
+def _permuted_gaussian(state, perm):
+    """The state with old mode perm[i] + 1 moved to mode i + 1."""
+    index = [2 * int(m) + quadrature for m in perm for quadrature in (0, 1)]
+    return gaussian.GaussianState(state.mean[index], state.cov[np.ix_(index, index)])
+
+
 class TestScanPermutationCovariance:
     """Relabelling sites (modes) and the scan's target and group the same
     way leaves every subset value unchanged."""
@@ -273,11 +280,129 @@ class TestScanPermutationCovariance:
                 state = loss_channel(state, int(rng.integers(1, 4)), float(rng.uniform(0.2, 0.9)))
             perm = rng.permutation(3)
             relabel = {int(old) + 1: new + 1 for new, old in enumerate(perm)}
-            index = [2 * int(m) + quadrature for m in perm for quadrature in (0, 1)]
-            permuted = gaussian.GaussianState(state.mean[index], state.cov[np.ix_(index, index)])
+            permuted = _permuted_gaussian(state, perm)
             target = int(rng.integers(1, 4))
             group = sorted({1, 2, 3} - {target})
             self._check(state, permuted, relabel, target, group, CvScanConfig(12))
+
+
+    def test_gaussian_three_mode_groups(self):
+        # the walk measures the group's modes in sorted order, so relabelling
+        # changes the order in which the same plans are conditioned on
+        rng = np.random.default_rng(133)
+        for trial in range(6):
+            state = random_pure_gaussian(4, rng)
+            if trial % 2:
+                state = loss_channel(state, int(rng.integers(1, 5)), float(rng.uniform(0.2, 0.9)))
+            perm = rng.permutation(4)
+            relabel = {int(old) + 1: new + 1 for new, old in enumerate(perm)}
+            target = int(rng.integers(1, 5))
+            group = sorted({1, 2, 3, 4} - {target})
+            permuted = _permuted_gaussian(state, perm)
+            self._check(state, permuted, relabel, target, group, CvScanConfig(8))
+
+
+class TestGaussianPermutationCovariance:
+    """Relabelling the modes of a state, and every mode a criterion names, the
+    same way leaves the criterion's value unchanged."""
+
+    def test_product_fixed_combo_and_genuine_report(self):
+        rng = np.random.default_rng(134)
+        for trial in range(20):
+            n = 3 if trial % 2 else 4
+            state = random_pure_gaussian(n, rng, max_squeezing=1.5)
+            for mode in range(1, n + 1):
+                state = loss_channel(state, mode, float(rng.uniform(0.3, 1.0)))
+            perm = rng.permutation(n)
+            relabel = {int(old) + 1: new + 1 for new, old in enumerate(perm)}
+            back = {new: old for old, new in relabel.items()}
+            permuted = _permuted_gaussian(state, perm)
+            target, *others = (int(m) + 1 for m in rng.permutation(n))
+            plans = [
+                HomodynePlan.of({m: float(rng.uniform(0.0, math.pi)) for m in others})
+                for _ in range(2)
+            ]
+            moved = [HomodynePlan.of({relabel[m]: a for m, a in plan.angles}) for plan in plans]
+            base = steering_product_cv(state, target, *plans)
+            value = steering_product_cv(permuted, relabel[target], *moved)
+            assert value.partition.steering_group == frozenset(relabel[m] for m in others)
+            assert abs(value.value - base.value) <= 1e-12
+            j, k, m = target, *others[:2]
+            base = gaussian.fixed_combo_steering(state, j, k, m)
+            value = gaussian.fixed_combo_steering(permuted, relabel[j], relabel[k], relabel[m])
+            assert abs(value.value - base.value) <= 1e-12
+            if n == 3:
+                # each relabelled target pairs with the smaller of its two
+                # relabelled partners: the same criterion with the roles mapped back
+                report = cv3_genuine_report(permuted)
+                want = []
+                for moved_value in report.values:
+                    t = moved_value.partition.target_site
+                    k2, m2 = sorted({1, 2, 3} - {t})
+                    want.append(gaussian.fixed_combo_steering(state, back[t], back[k2], back[m2]))
+                    assert abs(moved_value.value - want[-1].value) <= 1e-12
+                assert abs(report.sum - math.fsum(v.value for v in want)) <= 1e-12
+
+
+def _plan_stack(n_modes, modes, n_angles):
+    """Measured rows of every plan on the angle grid, one plan at a time, in
+    itertools.product order over the modes."""
+    angles = [a * math.pi / n_angles for a in range(n_angles)]
+    plans = list(product(angles, repeat=len(modes)))
+    out = np.zeros((len(plans), len(modes), 2 * n_modes))
+    for p, plan in enumerate(plans):
+        for row, (mode, angle) in enumerate(zip(modes, plan)):
+            out[p, row, 2 * (mode - 1)] = math.cos(angle)
+            out[p, row, 2 * (mode - 1) + 1] = math.sin(angle)
+    return out
+
+
+class TestGridVariances:
+    """The angle-grid walk of rank-one Schur updates gives the batched
+    eigen-solve's conditional variances on the explicit plan stack."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_measured=st.integers(min_value=1, max_value=3),
+        extra_modes=st.integers(min_value=0, max_value=2),
+        lossy=st.booleans(),
+        n_angles=st.integers(min_value=1, max_value=13),
+        order=st.sampled_from(["sorted", "reversed", "drawn"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_explicit_plans(self, seed, n_measured, extra_modes, lossy, n_angles, order):
+        rng = np.random.default_rng(seed)
+        n = min(n_measured + 1 + extra_modes, 5)
+        state = random_pure_gaussian(n, rng, max_squeezing=float(rng.uniform(0.1, 1.5)))
+        if lossy:
+            for mode in range(1, n + 1):
+                state = loss_channel(state, mode, float(rng.uniform(0.2, 1.0)))
+        drawn = [int(m) + 1 for m in rng.permutation(n)]
+        target, modes, rest = drawn[0], drawn[1 : 1 + n_measured], drawn[1 + n_measured :]
+        if order != "drawn":
+            modes = sorted(modes, reverse=order == "reversed")
+        free = [target, *rest]
+        mix = rng.normal(size=(len(free), 2))
+        targets = [
+            gaussian.x_quadrature(n, target),
+            gaussian.p_quadrature(n, target),
+            gaussian.quadrature_combo(
+                n,
+                x={m: float(c) for m, c in zip(free, mix[:, 0])},
+                p={m: float(c) for m, c in zip(free, mix[:, 1])},
+            ),
+        ]
+        got = gaussian._grid_variances(state, targets, modes, n_angles)
+        want = gaussian._conditional_variances(state, targets, _plan_stack(n, modes, n_angles))
+        assert got.shape == (3, n_angles ** n_measured)
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_refuses_to_measure_a_target_mode(self):
+        state = random_pure_gaussian(3, np.random.default_rng(5))
+        with pytest.raises(ValueError, match=r"target's modes \[2\]"):
+            gaussian._grid_variances(state, [gaussian.x_quadrature(3, 2)], [3, 2], 4)
+        with pytest.raises(ValueError, match="outside"):
+            gaussian._grid_variances(state, [gaussian.x_quadrature(3, 1)], [4], 4)
 
 
 class TestGaussianSchurFloor:

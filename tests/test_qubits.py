@@ -164,6 +164,29 @@ class TestExpectation:
             want = oracles.dense_expectation(psi.density_matrix().matrix, factors)
             assert expectation(psi, string) == pytest.approx(want, abs=1e-12)
 
+    @staticmethod
+    def _band_expectation(state, string):
+        """expectation computed with a fresh array per step of the band."""
+        flip, phase_mask, prefactor = qubits._string_masks(string)
+        components, weights, noise = qubits._ensemble(state)
+        idx = np.arange(components.shape[1], dtype=np.uint64)
+        conj_flipped = np.conj(components[:, idx ^ np.uint64(flip)])
+        band = (weights[:, None] * (components * conj_flipped)).sum(axis=0)
+        if flip == 0:
+            band += noise / components.shape[1]
+        raw = np.sum(qubits._parity_signs(idx & np.uint64(phase_mask)) * band)
+        return float((prefactor * raw).real)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_in_place_band_keeps_the_bits(self, n):
+        rng = np.random.default_rng(300 + n)
+        states = [random_pure_state(n, rng), depolarize_global(ghz(n), 0.4)]
+        states += [random_density_matrix(n, rng, rank) for rank in (1, 2, 4)]
+        for state in states:
+            for _ in range(20):
+                string = PauliString(tuple(rng.choice(list("IXYZ"), size=n)), int(rng.choice([1, -1])))
+                assert expectation(state, string) == self._band_expectation(state, string)
+
 
 class TestVarianceOfDifference:
     def test_ghz3_x_predictor_is_zero(self):
