@@ -17,7 +17,7 @@ import time
 from typing import Sequence
 
 from . import __version__, criteria, gaussian, qubits, scenarios
-from .core import SitePartition
+from .core import SitePartition, steered_by_complement
 from .gaussian import HomodynePlan
 from .qubits import DetectionModel
 
@@ -162,7 +162,7 @@ def _cmd_ghz_cv(args) -> tuple[list[dict], dict]:
         "criterion": args.criterion,
         "seed": args.seed,
     }
-    others = sorted({1, 2, 3} - {args.target})
+    others = sorted(steered_by_complement()[args.target - 1].steering_group)
     if args.criterion == "product":
         value = gaussian.steering_product_cv(
             state, args.target, HomodynePlan.x_on(*others), HomodynePlan.p_on(*others)
@@ -248,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"steerkit {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sub, default_format="json"):
-        sub.add_argument("--seed", type=int, default=0, help="recorded in the report")
+    def add_common(sub, default_format="json", default_seed=0, seed_help="recorded in the report"):
+        sub.add_argument("--seed", type=int, default=default_seed, help=seed_help)
         group = sub.add_mutually_exclusive_group()
         group.add_argument(
             "--json", dest="format", action="store_const", const="json",
@@ -299,11 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = subparsers.add_parser("sweep", help="evaluate a sweep config file over its grid")
     sweep.add_argument("--config", required=True, help="JSON file with a sweep configuration")
-    sweep.add_argument("--seed", type=int, default=None, help="override the config seed")
-    group = sweep.add_mutually_exclusive_group()
-    group.add_argument("--json", dest="format", action="store_const", const="json")
-    group.add_argument("--csv", dest="format", action="store_const", const="csv")
-    sweep.set_defaults(format="csv", handler=_cmd_sweep)
+    add_common(sweep, default_format="csv", default_seed=None, seed_help="override the config seed")
+    sweep.set_defaults(handler=_cmd_sweep)
 
     subparsers.add_parser("selftest", help="run the built-in golden-value checks")
     return parser

@@ -63,6 +63,12 @@ def partition(steering_group: Iterable[int], target_site: int) -> SitePartition:
     return SitePartition(frozenset(steering_group), target_site)
 
 
+def steered_by_complement(n_sites: int = 3) -> tuple[SitePartition, ...]:
+    """Each of the sites 1..n_sites steered by all the others, in site order."""
+    sites = frozenset(range(1, n_sites + 1))
+    return tuple(SitePartition(sites - {target}, target) for target in sorted(sites))
+
+
 @dataclass(frozen=True)
 class SteeringValue:
     """One evaluated steering criterion.

@@ -16,6 +16,7 @@ from .core import (
     CriterionId,
     SitePartition,
     SteeringValue,
+    steered_by_complement,
 )
 from .gaussian import GaussianState, HomodynePlan
 from .qubits import DetectionModel, PauliString
@@ -116,16 +117,16 @@ def _spin_sum(
     """Spin sum over the target's X, Y (, Z); bound = #predictors - 1."""
     n = qubits.state_qubits(state)
     qubits.check_partition(partition, n)
-    value = 0.0
+    strings = []
     for label, predictor in zip("XYZ", predictors):
         qubits._require_group_support(predictor, partition)
         target = PauliString.single(n, partition.target_site, label)
-        if model is None:
-            value += qubits.variance_of_difference(state, target, predictor)
-        else:
-            value += qubits.inference_variance_with_loss(
-                state, partition, target, predictor, model
-            )
+        strings += qubits._difference_strings(target, predictor, None if model is None else n)
+    # one pass over the state for every term's <T>, <P> and <TP>
+    moments = qubits._expectations(state, strings)
+    value = 0.0
+    for term in range(0, len(moments), 3):
+        value += qubits._difference_variance(*moments[term : term + 3], model)
     return SteeringValue.of(
         _SPIN_SUM_IDS[len(predictors)], partition, value, len(predictors) - 1
     )
@@ -393,8 +394,8 @@ def pure_state_tripartite_scan(
             raise ValueError(f"need exactly 3 qubits, got {qubits.state_qubits(state)}")
         config = _default_config(state, config)
         values = [
-            _spin_two_obs_scan(state, frozenset({1, 2, 3} - {target}), target, config, False)[0]
-            for target in (1, 2, 3)
+            _spin_two_obs_scan(state, part.steering_group, part.target_site, config, False)[0]
+            for part in steered_by_complement()
         ]
     per_site = tuple(values)
     return TripartiteScanReport(per_site, all(v.verdict for v in per_site), True)
@@ -406,18 +407,16 @@ def ghz3_genuine_report(
     """Fixed-predictor per-target values for a 3-qubit GHZ-form state."""
     if qubits.state_qubits(state) != 3:
         raise ValueError("fixed GHZ predictors are defined for 3 qubits here")
-    values = []
-    for target in (1, 2, 3):
-        others = frozenset({1, 2, 3} - {target})
-        values.append(
-            spin_two_obs(
-                state,
-                SitePartition(others, target),
-                qubits.ghz_predictor_for_target(3, target, "x"),
-                qubits.ghz_predictor_for_target(3, target, "y"),
-                model,
-            )
+    values = [
+        spin_two_obs(
+            state,
+            part,
+            qubits.ghz_predictor_for_target(3, part.target_site, "x"),
+            qubits.ghz_predictor_for_target(3, part.target_site, "y"),
+            model,
         )
+        for part in steered_by_complement()
+    ]
     return genuine_tripartite_aggregate(values)
 
 
@@ -425,11 +424,10 @@ def _cv3_fixed_combo_values(state: GaussianState) -> list[SteeringValue]:
     """fixed_combo_steering of each mode of a 3-mode state by the other two."""
     if state.n_modes != 3:
         raise ValueError(f"need exactly 3 modes, got {state.n_modes}")
-    values = []
-    for target in (1, 2, 3):
-        k, m = sorted({1, 2, 3} - {target})
-        values.append(gaussian.fixed_combo_steering(state, target, k, m))
-    return values
+    return [
+        gaussian.fixed_combo_steering(state, part.target_site, *sorted(part.steering_group))
+        for part in steered_by_complement()
+    ]
 
 
 def cv3_genuine_report(state: GaussianState) -> GenuineSteeringReport:

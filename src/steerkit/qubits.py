@@ -22,6 +22,10 @@ from .core import SitePartition, freeze
 MAX_QUBITS = 14
 
 _PAULI_LABELS = ("I", "X", "Y", "Z")
+_LABEL_SET = frozenset(_PAULI_LABELS)
+# Each factor's bit of a string's flip and phase masks.
+_FLIP_BITS = str.maketrans("IXYZ", "0110")
+_PHASE_BITS = str.maketrans("IXYZ", "0011")
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -210,11 +214,11 @@ class PauliString:
     sign: int = 1
 
     def __post_init__(self) -> None:
-        factors = tuple(str(f).upper() for f in self.factors)
+        factors = tuple(map(str.upper, map(str, self.factors)))
         if not factors:
             raise ValueError("factors must be non-empty")
-        bad = [f for f in factors if f not in _PAULI_LABELS]
-        if bad:
+        if not _LABEL_SET.issuperset(factors):
+            bad = [f for f in factors if f not in _PAULI_LABELS]
             raise ValueError(f"factors must be one of I, X, Y, Z; got {bad}")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
@@ -243,7 +247,7 @@ class PauliString:
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, f in enumerate(self.factors) if f != "I")
+        return tuple(i for i, f in enumerate(self.factors, 1) if f != "I")
 
     def dense(self) -> np.ndarray:
         """Full 2^n x 2^n matrix; meant for small n and cross-checks."""
@@ -256,17 +260,10 @@ class PauliString:
 def _string_masks(obs: PauliString) -> tuple[int, int, complex]:
     """(flip_mask, phase_mask, prefactor) with site 1 as the most significant
     bit; the prefactor is the sign times i**(number of Y factors)."""
-    n = obs.n_sites
-    flip = phase = y_count = 0
-    for i, f in enumerate(obs.factors):
-        bit = 1 << (n - 1 - i)
-        if f in ("X", "Y"):
-            flip |= bit
-        if f in ("Y", "Z"):
-            phase |= bit
-        if f == "Y":
-            y_count += 1
-    return flip, phase, obs.sign * 1j ** (y_count % 4)
+    word = "".join(obs.factors)
+    flip = int(word.translate(_FLIP_BITS), 2)
+    phase = int(word.translate(_PHASE_BITS), 2)
+    return flip, phase, obs.sign * 1j ** (word.count("Y") % 4)
 
 
 def _parity_signs(values: np.ndarray) -> np.ndarray:
@@ -284,28 +281,87 @@ def disjoint_product(a: PauliString, b: PauliString) -> PauliString:
     return PauliString(factors, a.sign * b.sign)
 
 
-def expectation(state: State, obs: PauliString) -> float:
-    """Exact <obs> = Tr(rho obs) for a Pauli-string observable."""
+def _check_n_sites(strings: Sequence[PauliString], n: int) -> None:
+    for obs in strings:
+        if obs.n_sites != n:
+            raise ValueError(f"observable acts on {obs.n_sites} sites but state has {n} qubits")
+
+
+# Read-only basis indices and parity signs shared by every expectation, in
+# bounded caches.  At n = 14 either array takes 128 KiB, so the sign cache
+# holds at most 16 MiB.  A spin sum reads at most nine sign vectors, and one
+# cycle of the noisy-qubit benchmark deck (n = 3..10) reads 84.
+@functools.lru_cache(maxsize=MAX_QUBITS)
+def _basis_index(n: int) -> np.ndarray:
+    return freeze(np.arange(1 << n, dtype=np.uint64))
+
+
+@functools.lru_cache(maxsize=128)
+def _phase_signs(n: int, phase_mask: int) -> np.ndarray:
+    """(-1)**popcount(x & phase_mask) for each of the 2^n basis states x."""
+    return freeze(_parity_signs(_basis_index(n) & np.uint64(phase_mask)))
+
+
+def _expectations(state: State, strings: Sequence[PauliString]) -> list[float]:
+    """Exact <obs> of each Pauli string; strings that flip the same bits
+    read one band of the state, built once."""
     n = state_qubits(state)
-    if obs.n_sites != n:
-        raise ValueError(
-            f"observable acts on {obs.n_sites} sites but state has {n} qubits"
-        )
-    flip, phase_mask, prefactor = _string_masks(obs)
+    _check_n_sites(strings, n)
     components, weights, noise = _ensemble(state)
     dim = 1 << n
-    idx = np.arange(dim, dtype=np.uint64)
-    # the band rho[x, x ^ flip] of the ensemble, the noise on its diagonal;
-    # one C-ordered temporary, so that the sum adds in the same order
-    band = np.take(components, idx ^ np.uint64(flip), axis=1)
-    np.conjugate(band, out=band)
-    np.multiply(components, band, out=band)
-    np.multiply(weights[:, None], band, out=band)
-    band = band.sum(axis=0)
-    if flip == 0:
-        band += noise / dim
-    raw = np.sum(_parity_signs(idx & np.uint64(phase_mask)) * band)
-    return float((prefactor * raw).real)
+    idx = _basis_index(n)
+    bands: dict[int, np.ndarray] = {}
+    out = []
+    for obs in strings:
+        flip, phase_mask, prefactor = _string_masks(obs)
+        band = bands.get(flip)
+        if band is None:
+            # the band rho[x, x ^ flip] of the ensemble, the noise on its
+            # diagonal; one C-ordered temporary, so that the sum adds in the
+            # same order
+            band = np.take(components, idx ^ np.uint64(flip), axis=1)
+            np.conjugate(band, out=band)
+            np.multiply(components, band, out=band)
+            np.multiply(weights[:, None], band, out=band)
+            band = bands[flip] = band.sum(axis=0)
+            if flip == 0:
+                band += noise / dim
+        raw = (_phase_signs(n, phase_mask) * band).sum()
+        out.append(float((prefactor * raw).real))
+    return out
+
+
+def expectation(state: State, obs: PauliString) -> float:
+    """Exact <obs> = Tr(rho obs) for a Pauli-string observable."""
+    return _expectations(state, (obs,))[0]
+
+
+def _difference_strings(
+    target: PauliString, predictor: PauliString, n: int | None = None
+) -> tuple[PauliString, PauliString, PauliString]:
+    """(T, P, TP), the strings whose moments give Var(T - P).  Given n, the
+    sizes of T and P are checked against it before their supports."""
+    if n is not None:
+        _check_n_sites((target, predictor), n)
+    return target, predictor, disjoint_product(target, predictor)
+
+
+def _difference_variance(
+    e_t: float, e_p: float, e_tp: float, model: DetectionModel | None = None
+) -> float:
+    """variance_of_difference, or with a detection model
+    inference_variance_with_loss, from <T>, <P> and <TP>."""
+    if model is None:
+        return max(2.0 - 2.0 * e_tp - (e_t - e_p) ** 2, 0.0)
+    eta = model.efficiency
+    fallback = e_t if model.no_click_policy == "marginal-mean" else model.guess
+    second_click = 2.0 - 2.0 * e_tp
+    mean_click = e_t - e_p
+    second_miss = 1.0 - 2.0 * fallback * e_t + fallback * fallback
+    mean_miss = e_t - fallback
+    second = eta * second_click + (1.0 - eta) * second_miss
+    mean = eta * mean_click + (1.0 - eta) * mean_miss
+    return max(second - mean * mean, 0.0)
 
 
 def variance_of_difference(
@@ -316,12 +372,7 @@ def variance_of_difference(
     Both strings square to the identity, so the second moment reduces to
     2 - 2<TP> and only three expectation values are needed.
     """
-    product = disjoint_product(target, predictor)
-    e_t = expectation(state, target)
-    e_p = expectation(state, predictor)
-    e_tp = expectation(state, product)
-    var = 2.0 - 2.0 * e_tp - (e_t - e_p) ** 2
-    return max(var, 0.0)
+    return _difference_variance(*_expectations(state, _difference_strings(target, predictor)))
 
 
 def ghz(n: int) -> PureState:
@@ -352,22 +403,15 @@ def ghz_predictor_for_target(n: int, target_site: int, target_component: str) ->
     if component not in ("x", "y"):
         raise ValueError(f"target component must be 'x' or 'y', got {target_component!r}")
     others = [s for s in range(1, n + 1) if s != target_site]
-    if n % 2 == 1:
-        sign = (-1) ** ((n + 1) // 2)
-        if component == "x":
-            labels = {s: "Y" for s in others}
-        else:
-            labels = {s: "Y" for s in others[:-1]}
-            labels[others[-1]] = "X"
-    else:
-        if component == "x":
-            sign = (-1) ** (n // 2)
-            labels = {s: "Y" for s in others[:-1]}
-            labels[others[-1]] = "X"
-        else:
-            sign = -((-1) ** (n // 2))
-            labels = {s: "Y" for s in others}
-    return PauliString.from_sites(n, labels, sign)
+    # Y on every other site for x at odd n and for y at even n; otherwise the
+    # last other site measures X.  The sign is (-1)^ceil(n/2), flipped for
+    # the all-Y string at even n.
+    all_y = (component == "x") == (n % 2 == 1)
+    labels = dict.fromkeys(others, "Y")
+    if not all_y:
+        labels[others[-1]] = "X"
+    sign = (-1) ** ((n + 1) // 2)
+    return PauliString.from_sites(n, labels, -sign if all_y and n % 2 == 0 else sign)
 
 
 def ghz_predictor(n: int, target_component: str) -> PauliString:
@@ -459,18 +503,8 @@ def inference_variance_with_loss(
     check_partition(partition, n)
     _require_target_support(target, partition)
     _require_group_support(predictor, partition)
-    e_t = expectation(state, target)
-    e_p = expectation(state, predictor)
-    e_tp = expectation(state, disjoint_product(target, predictor))
-    eta = model.efficiency
-    fallback = e_t if model.no_click_policy == "marginal-mean" else model.guess
-    second_click = 2.0 - 2.0 * e_tp
-    mean_click = e_t - e_p
-    second_miss = 1.0 - 2.0 * fallback * e_t + fallback * fallback
-    mean_miss = e_t - fallback
-    second = eta * second_click + (1.0 - eta) * second_miss
-    mean = eta * mean_click + (1.0 - eta) * mean_miss
-    return max(second - mean * mean, 0.0)
+    moments = _expectations(state, _difference_strings(target, predictor, n))
+    return _difference_variance(*moments, model)
 
 
 # One batch of rotated states holds at most this many amplitudes, counted over

@@ -10,7 +10,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import criteria, gaussian, qubits
-from .core import CriterionId, SitePartition
+from .core import CriterionId, SitePartition, steered_by_complement
 from .criteria import (
     CollectiveSteeringReport,
     MonogamyResult,
@@ -204,9 +204,8 @@ def secret_sharing_demo(backend: str, n: int = 3, r: float = 1.0) -> SecretShari
         raise ValueError(f"backend must be 'qubit' or 'cv', got {backend!r}")
     scans = []
     products = []
-    for target in (1, 2, 3):
-        group = frozenset({1, 2, 3} - {target})
-        scan = collective_scan(state, target, group)
+    for part in steered_by_complement():
+        scan = collective_scan(state, part.target_site, part.steering_group)
         scans.append(scan)
         singles = [v for v in scan.subsets if len(v.partition.steering_group) == 1]
         products.append(monogamy_check(singles[0], singles[1]))
@@ -325,9 +324,8 @@ def _sample_difference_variance(
     shots: int,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
-    e_t = qubits.expectation(state, target)
-    e_p = qubits.expectation(state, predictor)
-    e_tp = qubits.expectation(state, qubits.disjoint_product(target, predictor))
+    strings = qubits._difference_strings(target, predictor, qubits.state_qubits(state))
+    e_t, e_p, e_tp = qubits._expectations(state, strings)
     outcomes = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
     probs = np.array([(1.0 + t * e_t + p * e_p + t * p * e_tp) / 4.0 for t, p in outcomes])
     probs = np.clip(probs, 0.0, None)

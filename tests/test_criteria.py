@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from steerkit import criteria, gaussian, qubits
+from steerkit import criteria, gaussian, qubits, scenarios
 from steerkit.core import CriterionId, SitePartition, SteeringValue, partition
 from steerkit.criteria import (
     CvScanConfig,
@@ -177,6 +177,77 @@ class TestNoisyGhzClosedForms:
                 three = spin_three_obs(state, part, px, py, pz, model).value
                 assert abs(two - 2 * term) <= 1e-9
                 assert abs(three - 3 * term) <= 1e-9
+
+    @pytest.mark.parametrize("n", range(2, qubits.MAX_QUBITS + 1))
+    def test_constant_guess_up_to_max_qubits(self, n):
+        # the click branch has mean 0 and second moment 2 - 2p; the no-click
+        # branch reports g, so its error T - g has mean -g and second
+        # moment 1 + g^2
+        part = partition(range(1, n), n)
+        px, py = qubits.ghz_predictor(n, "x"), qubits.ghz_predictor(n, "y")
+        pz = qubits.ghz_z_predictor(n)
+        for p in (0.3, 0.9):
+            state = depolarize_global(ghz(n), p)
+            for eta, guess in ((0.7, 0.4), (0.2, -1.0)):
+                model = DetectionModel(eta, "constant-guess", guess)
+                second = eta * (2.0 - 2.0 * p) + (1.0 - eta) * (1.0 + guess * guess)
+                term = second - ((1.0 - eta) * guess) ** 2
+                two = spin_two_obs(state, part, px, py, model).value
+                three = spin_three_obs(state, part, px, py, pz, model).value
+                assert abs(two - 2 * term) <= 1e-9
+                assert abs(three - 3 * term) <= 1e-9
+
+
+_MODELS = [None, DetectionModel(0.6), DetectionModel(0.6, "constant-guess", 0.2)]
+
+
+class TestSpinSumErrors:
+    """The batched spin sum checks every term before it reads the state and
+    raises what the per-term kernels raise."""
+
+    def _pieces(self):
+        return ghz(3), partition([1, 2], 3), qubits.ghz_predictor(3, "x")
+
+    @pytest.mark.parametrize("model", _MODELS)
+    def test_predictor_outside_the_group(self, model):
+        state, part, px = self._pieces()
+        bad = PauliString.from_sites(3, {1: "Y", 3: "X"})
+        with pytest.raises(ValueError, match=r"outside the steering group at sites \[3\]"):
+            spin_two_obs(state, part, px, bad, model)
+
+    def test_overlapping_supports(self):
+        state, part, px = self._pieces()
+        target = PauliString.single(3, 3, "X")
+        bad = PauliString.from_sites(3, {2: "Y", 3: "Y"})
+        with pytest.raises(ValueError, match="^supports overlap$"):
+            qubits.variance_of_difference(state, target, bad)
+        plan = scenarios.SpinSumShotPlan(part, bad, px)
+        with pytest.raises(ValueError, match="^supports overlap$"):
+            scenarios.simulate_shots(state, plan, 10)
+
+    @pytest.mark.parametrize("model", _MODELS)
+    def test_string_of_the_wrong_size(self, model):
+        state, part, px = self._pieces()
+        # a lossless term forms TP first, a lossy one reads <P> first
+        want = (
+            "^strings act on different numbers of sites$" if model is None
+            else "^observable acts on 4 sites but state has 3 qubits$"
+        )
+        wide = PauliString.from_sites(4, {1: "Y", 2: "Y"})
+        with pytest.raises(ValueError, match=want):
+            spin_two_obs(state, part, px, wide, model)
+        with pytest.raises(ValueError, match=want):
+            spin_three_obs(state, part, px, px, wide, model)
+
+    def test_wrong_size_in_a_batch(self):
+        state, _, px = self._pieces()
+        narrow = PauliString(("X", "X"))
+        want = "^observable acts on 2 sites but state has 3 qubits$"
+        for strings in ([narrow], [px, narrow]):
+            with pytest.raises(ValueError, match=want):
+                qubits._expectations(state, strings)
+        with pytest.raises(ValueError, match=want):
+            qubits.expectation(state, narrow)
 
 
 class TestGenuineAggregate:

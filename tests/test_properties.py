@@ -38,6 +38,7 @@ from steerkit.qubits import (
     depolarize_global,
     expectation,
     ghz,
+    inference_variance_with_loss,
     random_density_matrix,
     random_pure_state,
     variance_of_difference,
@@ -165,6 +166,82 @@ class TestSpinSumPermutationCovariance:
                 for base, value in pairs:
                     assert value.partition == moved_part
                     assert abs(value.value - base.value) <= 1e-12
+
+
+def _moment_case(seed, n, kind, policy):
+    """A state of the kind, a detection model of the policy (None for no
+    model) and a random generator for drawing strings."""
+    rng = np.random.default_rng(seed)
+    if kind == "pure":
+        state = random_pure_state(n, rng)
+    else:
+        state = random_density_matrix(n, rng, int(rng.integers(1, 5)))
+        if kind == "depolarized":
+            state = depolarize_global(state, float(rng.uniform(0.0, 1.0)))
+    eta = float(rng.uniform(0.0, 1.0))
+    model = {
+        None: None,
+        "marginal-mean": DetectionModel(eta),
+        "constant-guess": DetectionModel(eta, "constant-guess", float(rng.uniform(-1.5, 1.5))),
+    }[policy]
+    return state, model, rng
+
+
+_MOMENT_CASES = dict(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=2, max_value=8),
+    kind=st.sampled_from(["pure", "mixed", "depolarized"]),
+    policy=st.sampled_from([None, "marginal-mean", "constant-guess"]),
+)
+
+
+class TestBatchedMoments:
+    """qubits._expectations and the spin sums built on it give the same bits
+    as the public batch-of-one kernels."""
+
+    @given(**_MOMENT_CASES)
+    @settings(max_examples=60, deadline=None)
+    def test_each_entry_equals_expectation(self, seed, n, kind, policy):
+        state, _, rng = _moment_case(seed, n, kind, policy)
+        # few sites, so that strings often share their flip mask
+        strings = [
+            PauliString(tuple(rng.choice(list("IXYZ"), size=n)), int(rng.choice([1, -1])))
+            for _ in range(int(rng.integers(1, 13)))
+        ]
+        got = qubits._expectations(state, strings)
+        assert [v.hex() for v in got] == [expectation(state, s).hex() for s in strings]
+
+    @given(**_MOMENT_CASES)
+    @settings(max_examples=60, deadline=None)
+    def test_spin_sums_add_the_public_terms(self, seed, n, kind, policy):
+        state, model, rng = _moment_case(seed, n, kind, policy)
+        target = int(rng.integers(1, n + 1))
+        others = [s for s in range(1, n + 1) if s != target]
+        size = int(rng.integers(1, n))
+        group = frozenset(int(s) for s in rng.choice(others, size, replace=False))
+        part = SitePartition(group, target)
+        predictors = [
+            PauliString.from_sites(n, {s: str(rng.choice(list("IXYZ"))) for s in group},
+                                   int(rng.choice([1, -1])))
+            for _ in range(3)
+        ]
+        terms = []
+        for label, predictor in zip("XYZ", predictors):
+            observable = PauliString.single(n, target, label)
+            if model is None:
+                terms.append(variance_of_difference(state, observable, predictor))
+            else:
+                terms.append(
+                    inference_variance_with_loss(state, part, observable, predictor, model)
+                )
+        for value, count in (
+            (spin_two_obs(state, part, *predictors[:2], model), 2),
+            (spin_three_obs(state, part, *predictors, model), 3),
+        ):
+            want = 0.0
+            for term in terms[:count]:
+                want += term
+            assert value.value.hex() == want.hex()
 
 
 def _scan_values(report):

@@ -649,6 +649,28 @@ class TestKernelCaches:
             with pytest.raises(ValueError):
                 array[0] = 0
 
+    def test_expectations_match_fresh_sign_caches(self):
+        rng = np.random.default_rng(67)
+        cases = [
+            (state, PauliString(tuple(rng.choice(list("IXYZ"), size=n)), int(rng.choice([1, -1]))))
+            for n in (3, 5, 3, 4) for state in (random_pure_state(n, rng), _random_ensemble(n, rng))
+            for _ in range(4)
+        ]
+        interleaved = [expectation(*case) for case in cases]
+        fresh = []
+        for case in cases:
+            qubits._basis_index.cache_clear()
+            qubits._phase_signs.cache_clear()
+            fresh.append(expectation(*case))
+        assert [v.hex() for v in interleaved] == [v.hex() for v in fresh]
+
+    def test_sign_cache_arrays(self):
+        for array in (qubits._basis_index(3), qubits._phase_signs(3, 5)):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert qubits._phase_signs(3, 5).tolist() == [1, -1, 1, -1, -1, 1, -1, 1]
+        assert qubits._phase_signs(14, 0).nbytes == 128 * 1024
+
     def test_pattern_puts_the_first_site_most_significant(self):
         pattern = qubits._outcome_pattern(3, (1, 3))
         assert pattern.tolist() == [0, 1, 0, 1, 2, 3, 2, 3]
