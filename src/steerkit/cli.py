@@ -17,7 +17,7 @@ import time
 from typing import Sequence
 
 from . import __version__, criteria, gaussian, qubits, scenarios
-from .core import SitePartition, steered_by_complement
+from .core import SitePartition
 from .gaussian import HomodynePlan
 from .qubits import DetectionModel
 
@@ -162,7 +162,7 @@ def _cmd_ghz_cv(args) -> tuple[list[dict], dict]:
         "criterion": args.criterion,
         "seed": args.seed,
     }
-    others = sorted(steered_by_complement()[args.target - 1].steering_group)
+    others = sorted({1, 2, 3} - {args.target})
     if args.criterion == "product":
         value = gaussian.steering_product_cv(
             state, args.target, HomodynePlan.x_on(*others), HomodynePlan.p_on(*others)

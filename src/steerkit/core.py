@@ -63,10 +63,12 @@ def partition(steering_group: Iterable[int], target_site: int) -> SitePartition:
     return SitePartition(frozenset(steering_group), target_site)
 
 
-def steered_by_complement(n_sites: int = 3) -> tuple[SitePartition, ...]:
-    """Each of the sites 1..n_sites steered by all the others, in site order."""
-    sites = frozenset(range(1, n_sites + 1))
-    return tuple(SitePartition(sites - {target}, target) for target in sorted(sites))
+# Each of the sites 1, 2, 3 steered by the other two, in site order.
+STEERED_BY_COMPLEMENT = (
+    SitePartition(frozenset({2, 3}), 1),
+    SitePartition(frozenset({1, 3}), 2),
+    SitePartition(frozenset({1, 2}), 3),
+)
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,11 @@ import numpy as np
 
 from . import gaussian, qubits
 from .core import (
+    STEERED_BY_COMPLEMENT,
     TWO_OBSERVABLE_CRITERIA,
     CriterionId,
     SitePartition,
     SteeringValue,
-    steered_by_complement,
 )
 from .gaussian import GaussianState, HomodynePlan
 from .qubits import DetectionModel, PauliString
@@ -395,7 +395,7 @@ def pure_state_tripartite_scan(
         config = _default_config(state, config)
         values = [
             _spin_two_obs_scan(state, part.steering_group, part.target_site, config, False)[0]
-            for part in steered_by_complement()
+            for part in STEERED_BY_COMPLEMENT
         ]
     per_site = tuple(values)
     return TripartiteScanReport(per_site, all(v.verdict for v in per_site), True)
@@ -415,7 +415,7 @@ def ghz3_genuine_report(
             qubits.ghz_predictor_for_target(3, part.target_site, "y"),
             model,
         )
-        for part in steered_by_complement()
+        for part in STEERED_BY_COMPLEMENT
     ]
     return genuine_tripartite_aggregate(values)
 
@@ -426,7 +426,7 @@ def _cv3_fixed_combo_values(state: GaussianState) -> list[SteeringValue]:
         raise ValueError(f"need exactly 3 modes, got {state.n_modes}")
     return [
         gaussian.fixed_combo_steering(state, part.target_site, *sorted(part.steering_group))
-        for part in steered_by_complement()
+        for part in STEERED_BY_COMPLEMENT
     ]
 
 

@@ -247,7 +247,7 @@ class PauliString:
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, f in enumerate(self.factors, 1) if f != "I")
+        return tuple(i + 1 for i, f in enumerate(self.factors) if f != "I")
 
     def dense(self) -> np.ndarray:
         """Full 2^n x 2^n matrix; meant for small n and cross-checks."""
@@ -403,15 +403,22 @@ def ghz_predictor_for_target(n: int, target_site: int, target_component: str) ->
     if component not in ("x", "y"):
         raise ValueError(f"target component must be 'x' or 'y', got {target_component!r}")
     others = [s for s in range(1, n + 1) if s != target_site]
-    # Y on every other site for x at odd n and for y at even n; otherwise the
-    # last other site measures X.  The sign is (-1)^ceil(n/2), flipped for
-    # the all-Y string at even n.
-    all_y = (component == "x") == (n % 2 == 1)
-    labels = dict.fromkeys(others, "Y")
-    if not all_y:
-        labels[others[-1]] = "X"
-    sign = (-1) ** ((n + 1) // 2)
-    return PauliString.from_sites(n, labels, -sign if all_y and n % 2 == 0 else sign)
+    if n % 2 == 1:
+        sign = (-1) ** ((n + 1) // 2)
+        if component == "x":
+            labels = {s: "Y" for s in others}
+        else:
+            labels = {s: "Y" for s in others[:-1]}
+            labels[others[-1]] = "X"
+    else:
+        if component == "x":
+            sign = (-1) ** (n // 2)
+            labels = {s: "Y" for s in others[:-1]}
+            labels[others[-1]] = "X"
+        else:
+            sign = -((-1) ** (n // 2))
+            labels = {s: "Y" for s in others}
+    return PauliString.from_sites(n, labels, sign)
 
 
 def ghz_predictor(n: int, target_component: str) -> PauliString:

@@ -10,7 +10,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import criteria, gaussian, qubits
-from .core import CriterionId, SitePartition, steered_by_complement
+from .core import STEERED_BY_COMPLEMENT, CriterionId, SitePartition
 from .criteria import (
     CollectiveSteeringReport,
     MonogamyResult,
@@ -204,7 +204,7 @@ def secret_sharing_demo(backend: str, n: int = 3, r: float = 1.0) -> SecretShari
         raise ValueError(f"backend must be 'qubit' or 'cv', got {backend!r}")
     scans = []
     products = []
-    for part in steered_by_complement():
+    for part in STEERED_BY_COMPLEMENT:
         scan = collective_scan(state, part.target_site, part.steering_group)
         scans.append(scan)
         singles = [v for v in scan.subsets if len(v.partition.steering_group) == 1]

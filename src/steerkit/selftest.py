@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import criteria, gaussian, qubits, scenarios
-from .core import CriterionId, SitePartition, SteeringValue, steered_by_complement
+from .core import STEERED_BY_COMPLEMENT, CriterionId, SitePartition, SteeringValue
 from .gaussian import HomodynePlan
 from .qubits import DetectionModel, PauliString
 
@@ -128,7 +128,7 @@ def _check_genuine_sum() -> None:
     _close(noisy.sum, 0.6, 1e-10)
     assert noisy.genuine
     arithmetic = criteria.genuine_tripartite_aggregate([
-        SteeringValue.of(CriterionId.SPIN_SUM_2OBS, part, 0.4) for part in steered_by_complement()
+        SteeringValue.of(CriterionId.SPIN_SUM_2OBS, part, 0.4) for part in STEERED_BY_COMPLEMENT
     ])
     _close(arithmetic.sum, 1.2, 1e-12)
     assert not arithmetic.genuine
