@@ -423,13 +423,10 @@ def steering_product_cv(
     return _product_value(var_x, var_p, group, target_mode)
 
 
-def _product_value(
-    var_x: float, var_p: float, group: frozenset[int], target: int,
-    criterion: CriterionId = CriterionId.CV_PRODUCT,
-) -> SteeringValue:
+def _product_value(var_x: float, var_p: float, group: frozenset[int], target: int) -> SteeringValue:
     """sqrt(var_x) * sqrt(var_p) of the target mode steered by the group, against 1."""
     value = math.sqrt(var_x) * math.sqrt(var_p)
-    return SteeringValue.of(criterion, SitePartition(group, target), value, 1.0)
+    return SteeringValue.of(CriterionId.CV_PRODUCT, SitePartition(group, target), value, 1.0)
 
 
 def fixed_combo_steering(state: GaussianState, j: int, k: int, m: int) -> SteeringValue:
@@ -445,7 +442,10 @@ def fixed_combo_steering(state: GaussianState, j: int, k: int, m: int) -> Steeri
         _check_mode(n, mode)
     var_x = combo_variance(state, quadrature_combo(n, x={j: 1.0, k: -1.0}))
     var_p = combo_variance(state, quadrature_combo(n, p={j: 1.0, k: 1.0, m: 1.0}))
-    return _product_value(var_x, var_p, frozenset({k, m}), j, CriterionId.CV_FIXED_COMBO)
+    value = math.sqrt(var_x) * math.sqrt(var_p)
+    return SteeringValue.of(
+        CriterionId.CV_FIXED_COMBO, SitePartition(frozenset({k, m}), j), value, 1.0
+    )
 
 
 def _haar_orthosymplectic(n_modes: int, rng: np.random.Generator) -> np.ndarray:
