@@ -117,13 +117,11 @@ def _spin_sum(
     """Spin sum over the target's X, Y (, Z); bound = #predictors - 1."""
     n = qubits.state_qubits(state)
     qubits.check_partition(partition, n)
-    strings = []
+    masks = []
     for label, predictor in zip("XYZ", predictors):
-        qubits._require_group_support(predictor, partition)
-        target = PauliString.single(n, partition.target_site, label)
-        strings += qubits._difference_strings(target, predictor, None if model is None else n)
+        masks += qubits._spin_term_masks(n, partition, label, predictor, model is not None)
     # one pass over the state for every term's <T>, <P> and <TP>
-    moments = qubits._expectations(state, strings)
+    moments = qubits._mask_expectations(state, masks)
     value = 0.0
     for term in range(0, len(moments), 3):
         value += qubits._difference_variance(*moments[term : term + 3], model)

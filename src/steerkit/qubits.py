@@ -257,28 +257,41 @@ class PauliString:
         return out
 
 
-def _string_masks(obs: PauliString) -> tuple[int, int, complex]:
+Masks = tuple[int, int, complex]
+
+
+def _prefactor(sign: int, flip: int, phase: int) -> complex:
+    """sign * i**(number of Y factors), a Y factor setting both masks' bits."""
+    return sign * 1j ** ((flip & phase).bit_count() % 4)
+
+
+def _string_masks(obs: PauliString) -> Masks:
     """(flip_mask, phase_mask, prefactor) with site 1 as the most significant
     bit; the prefactor is the sign times i**(number of Y factors)."""
     word = "".join(obs.factors)
     flip = int(word.translate(_FLIP_BITS), 2)
     phase = int(word.translate(_PHASE_BITS), 2)
-    return flip, phase, obs.sign * 1j ** (word.count("Y") % 4)
+    return flip, phase, _prefactor(obs.sign, flip, phase)
+
+
+def _site_masks(n: int, site: int, label: str) -> Masks:
+    """_string_masks(PauliString.single(n, site, label)), from the site's bit."""
+    bit = 1 << (n - site)
+    flip, phase = bit * (label in "XY"), bit * (label in "YZ")
+    return flip, phase, _prefactor(1, flip, phase)
+
+
+def _difference_masks(t: Masks, p: Masks, sign: int) -> tuple[Masks, Masks, Masks]:
+    """Masks of (T, P, TP) for strings T, P with disjoint supports and masks
+    t, p, where TP has the given sign: each site of TP takes the factor of the
+    one string acting on it, so its masks are the ORs."""
+    flip, phase = t[0] | p[0], t[1] | p[1]
+    return t, p, (flip, phase, _prefactor(sign, flip, phase))
 
 
 def _parity_signs(values: np.ndarray) -> np.ndarray:
     """(-1)**popcount per element."""
     return 1.0 - 2.0 * (np.bitwise_count(values) & np.uint64(1)).astype(np.float64)
-
-
-def disjoint_product(a: PauliString, b: PauliString) -> PauliString:
-    """Product of two strings with disjoint supports (no phase bookkeeping needed)."""
-    if a.n_sites != b.n_sites:
-        raise ValueError("strings act on different numbers of sites")
-    if set(a.support) & set(b.support):
-        raise ValueError("supports overlap")
-    factors = tuple(fa if fb == "I" else fb for fa, fb in zip(a.factors, b.factors))
-    return PauliString(factors, a.sign * b.sign)
 
 
 def _check_n_sites(strings: Sequence[PauliString], n: int) -> None:
@@ -302,18 +315,16 @@ def _phase_signs(n: int, phase_mask: int) -> np.ndarray:
     return freeze(_parity_signs(_basis_index(n) & np.uint64(phase_mask)))
 
 
-def _expectations(state: State, strings: Sequence[PauliString]) -> list[float]:
-    """Exact <obs> of each Pauli string; strings that flip the same bits
-    read one band of the state, built once."""
+def _mask_expectations(state: State, masks: Sequence[Masks]) -> list[float]:
+    """Exact <obs> of each Pauli string, given by its n-site masks; strings
+    that flip the same bits read one band of the state, built once."""
     n = state_qubits(state)
-    _check_n_sites(strings, n)
     components, weights, noise = _ensemble(state)
     dim = 1 << n
     idx = _basis_index(n)
     bands: dict[int, np.ndarray] = {}
     out = []
-    for obs in strings:
-        flip, phase_mask, prefactor = _string_masks(obs)
+    for flip, phase_mask, prefactor in masks:
         band = bands.get(flip)
         if band is None:
             # the band rho[x, x ^ flip] of the ensemble, the noise on its
@@ -331,19 +342,15 @@ def _expectations(state: State, strings: Sequence[PauliString]) -> list[float]:
     return out
 
 
+def _expectations(state: State, strings: Sequence[PauliString]) -> list[float]:
+    """_mask_expectations of Pauli strings, whose sizes are checked first."""
+    _check_n_sites(strings, state_qubits(state))
+    return _mask_expectations(state, [_string_masks(obs) for obs in strings])
+
+
 def expectation(state: State, obs: PauliString) -> float:
     """Exact <obs> = Tr(rho obs) for a Pauli-string observable."""
     return _expectations(state, (obs,))[0]
-
-
-def _difference_strings(
-    target: PauliString, predictor: PauliString, n: int | None = None
-) -> tuple[PauliString, PauliString, PauliString]:
-    """(T, P, TP), the strings whose moments give Var(T - P).  Given n, the
-    sizes of T and P are checked against it before their supports."""
-    if n is not None:
-        _check_n_sites((target, predictor), n)
-    return target, predictor, disjoint_product(target, predictor)
 
 
 def _difference_variance(
@@ -372,7 +379,14 @@ def variance_of_difference(
     Both strings square to the identity, so the second moment reduces to
     2 - 2<TP> and only three expectation values are needed.
     """
-    return _difference_variance(*_expectations(state, _difference_strings(target, predictor)))
+    if target.n_sites != predictor.n_sites:
+        raise ValueError("strings act on different numbers of sites")
+    t, p = _string_masks(target), _string_masks(predictor)
+    if (t[0] | t[1]) & (p[0] | p[1]):
+        raise ValueError("supports overlap")
+    _check_n_sites((target,), state_qubits(state))
+    masks = _difference_masks(t, p, target.sign * predictor.sign)
+    return _difference_variance(*_mask_expectations(state, masks))
 
 
 def ghz(n: int) -> PureState:
@@ -487,10 +501,28 @@ def _require_target_support(target: PauliString, partition: SitePartition) -> No
         raise ValueError(f"target observable must act on site {partition.target_site} only")
 
 
-def _require_group_support(predictor: PauliString, partition: SitePartition) -> None:
-    extra = set(predictor.support) - set(partition.steering_group)
-    if extra:
+def _require_group_support(predictor: PauliString, partition: SitePartition, masks: Masks) -> None:
+    # the group's bits in the predictor's own size, which is checked later
+    m = predictor.n_sites
+    if (masks[0] | masks[1]) & ~sum(1 << (m - s) for s in partition.steering_group if s <= m):
+        extra = set(predictor.support) - set(partition.steering_group)
         raise ValueError(f"predictor acts outside the steering group at sites {sorted(extra)}")
+
+
+def _spin_term_masks(
+    n: int, partition: SitePartition, label: str, predictor: PauliString, lossy: bool
+) -> tuple[Masks, Masks, Masks]:
+    """Masks of (T, P, TP) for the target site's Pauli `label` and a predictor,
+    checked as the per-term kernels check them: the group support, then the
+    predictor's size, with the message of inference_variance_with_loss if
+    lossy and of variance_of_difference if not."""
+    p = _string_masks(predictor)
+    _require_group_support(predictor, partition, p)
+    if lossy:
+        _check_n_sites((predictor,), n)
+    elif predictor.n_sites != n:
+        raise ValueError("strings act on different numbers of sites")
+    return _difference_masks(_site_masks(n, partition.target_site, label), p, predictor.sign)
 
 
 def inference_variance_with_loss(
@@ -509,9 +541,11 @@ def inference_variance_with_loss(
     n = state_qubits(state)
     check_partition(partition, n)
     _require_target_support(target, partition)
-    _require_group_support(predictor, partition)
-    moments = _expectations(state, _difference_strings(target, predictor, n))
-    return _difference_variance(*moments, model)
+    p = _string_masks(predictor)
+    _require_group_support(predictor, partition, p)
+    _check_n_sites((target, predictor), n)
+    masks = _difference_masks(_string_masks(target), p, target.sign * predictor.sign)
+    return _difference_variance(*_mask_expectations(state, masks), model)
 
 
 # One batch of rotated states holds at most this many amplitudes, counted over

@@ -318,14 +318,8 @@ def _variance_statistics(values: np.ndarray, counts: np.ndarray) -> tuple[float,
 
 
 def _sample_difference_variance(
-    state: qubits.State,
-    target: PauliString,
-    predictor: PauliString,
-    shots: int,
-    rng: np.random.Generator,
+    e_t: float, e_p: float, e_tp: float, shots: int, rng: np.random.Generator
 ) -> tuple[float, float]:
-    strings = qubits._difference_strings(target, predictor, qubits.state_qubits(state))
-    e_t, e_p, e_tp = qubits._expectations(state, strings)
     outcomes = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
     probs = np.array([(1.0 + t * e_t + p * e_p + t * p * e_tp) / 4.0 for t, p in outcomes])
     probs = np.clip(probs, 0.0, None)
@@ -351,9 +345,15 @@ def simulate_shots(
         qubits.check_partition(plan.partition, n)
         estimate = 0.0
         error_sq = 0.0
-        for component, predictor in (("X", plan.predictor_x), ("Y", plan.predictor_y)):
-            target = PauliString.single(n, plan.partition.target_site, component)
-            s2, se = _sample_difference_variance(state, target, predictor, shots, rng)
+        for label, predictor in (("X", plan.predictor_x), ("Y", plan.predictor_y)):
+            # the size and overlap checks keep their messages; a predictor
+            # that passes them is then held to the steering group
+            qubits._check_n_sites((predictor,), n)
+            if plan.partition.target_site in predictor.support:
+                raise ValueError("supports overlap")
+            masks = qubits._spin_term_masks(n, plan.partition, label, predictor, True)
+            moments = qubits._mask_expectations(state, masks)
+            s2, se = _sample_difference_variance(*moments, shots, rng)
             estimate += s2
             error_sq += se * se
         return ShotEstimate(estimate, math.sqrt(error_sq), shots, seed)

@@ -239,6 +239,57 @@ class TestSpinSumErrors:
         with pytest.raises(ValueError, match=want):
             spin_three_obs(state, part, px, px, wide, model)
 
+    @pytest.mark.parametrize("model", _MODELS)
+    def test_wrong_size_and_outside_the_group(self, model):
+        # the group is checked before the size, whatever the model, and each
+        # term before the next
+        state, part, px = self._pieces()
+        wide = PauliString.from_sites(4, {1: "Y", 4: "X"})
+        narrow = PauliString(("I", "X"))
+        size_message = (
+            "^strings act on different numbers of sites$" if model is None
+            else "^observable acts on 2 sites but state has 3 qubits$"
+        )
+        group_message = r"^predictor acts outside the steering group at sites \[4\]$"
+        for predictors, want in (
+            ((px, wide), group_message),
+            ((wide, narrow), group_message),
+            ((narrow, wide), size_message),
+        ):
+            with pytest.raises(ValueError, match=want):
+                spin_two_obs(state, part, *predictors, model)
+            with pytest.raises(ValueError, match=want):
+                spin_three_obs(state, part, px, *predictors, model)
+
+    @pytest.mark.parametrize("model", _MODELS)
+    def test_negative_predictors_at_every_site(self, model):
+        rng = np.random.default_rng(73)
+        n = 4
+        state = depolarize_global(random_density_matrix(n, rng, 3), 0.7)
+        for target in range(1, n + 1):
+            group = [s for s in range(1, n + 1) if s != target]
+            part = partition(group, target)
+            whole = {s: str(rng.choice(list("XYZ"))) for s in group}
+            for sites in [{s: label} for s in group for label in "XYZ"] + [whole]:
+                predictors = [PauliString.from_sites(n, sites, -1)] * 3
+                terms = []
+                for label, predictor in zip("XYZ", predictors):
+                    observable = PauliString.single(n, target, label)
+                    if model is None:
+                        terms.append(qubits.variance_of_difference(state, observable, predictor))
+                    else:
+                        terms.append(qubits.inference_variance_with_loss(
+                            state, part, observable, predictor, model
+                        ))
+                for value, count in (
+                    (spin_two_obs(state, part, *predictors[:2], model), 2),
+                    (spin_three_obs(state, part, *predictors, model), 3),
+                ):
+                    want = 0.0
+                    for term in terms[:count]:
+                        want += term
+                    assert value.value.hex() == want.hex()
+
     def test_wrong_size_in_a_batch(self):
         state, _, px = self._pieces()
         narrow = PauliString(("X", "X"))

@@ -244,6 +244,57 @@ class TestBatchedMoments:
             assert value.value.hex() == want.hex()
 
 
+def _masks_dense(n, masks):
+    """The 2^n x 2^n matrix of the string with these masks: it maps basis
+    state x to prefactor * (-1)**popcount(x & phase) times basis state
+    x ^ flip."""
+    flip, phase, prefactor = masks
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    for x in range(1 << n):
+        out[x ^ flip, x] = prefactor * (-1) ** (x & phase).bit_count()
+    return out
+
+
+def _complex_hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
+class TestMaskAlgebra:
+    """A Pauli string is a flip mask, a phase mask and a prefactor; a product
+    of strings with disjoint supports ORs their masks."""
+
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        signs=st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])),
+        data=st.data(),
+    )
+    def test_disjoint_product_rebuilds_the_matrix_product(self, n, signs, data):
+        owners = data.draw(st.lists(st.sampled_from("ab-"), min_size=n, max_size=n))
+        labels = data.draw(st.lists(st.sampled_from("XYZ"), min_size=n, max_size=n))
+        a, b = (
+            PauliString(tuple(l if o == who else "I" for o, l in zip(owners, labels)), sign)
+            for who, sign in zip("ab", signs)
+        )
+        *_, product = qubits._difference_masks(
+            qubits._string_masks(a), qubits._string_masks(b), a.sign * b.sign
+        )
+        assert np.array_equal(_masks_dense(n, product), a.dense() @ b.dense())
+        joined = PauliString(tuple(l if o != "-" else "I" for o, l in zip(owners, labels)),
+                             a.sign * b.sign)
+        want = qubits._string_masks(joined)
+        assert product[:2] == want[:2]
+        assert _complex_hex(product[2]) == _complex_hex(want[2])
+
+    def test_site_masks_match_single_strings(self):
+        for n in range(1, qubits.MAX_QUBITS + 1):
+            for site in range(1, n + 1):
+                for label in "IXYZ":
+                    got = qubits._site_masks(n, site, label)
+                    want = qubits._string_masks(PauliString.single(n, site, label))
+                    assert got[:2] == want[:2]
+                    assert _complex_hex(got[2]) == _complex_hex(want[2])
+
+
 def _scan_values(report):
     return {v.partition.steering_group: v.value for v in (report.full_group, *report.subsets)}
 

@@ -1,6 +1,10 @@
 """Qubit backend: states, Pauli expectations, predictors, inference, loss."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -603,6 +607,21 @@ _KERNEL_CACHES = (qubits._outcome_pattern, qubits._flip_kernel, qubits._gate_sta
 class TestKernelCaches:
     """The per-(n, sites), per-(n, flip, phase mask) and per-menu arrays
     shared between kernel calls."""
+
+    def test_import_fills_no_cache(self):
+        # the mask tables are built on first use, not at start-up
+        code = (
+            "import steerkit.cli\n"
+            "from steerkit import qubits\n"
+            "caches = (qubits._basis_index, qubits._phase_signs, qubits._outcome_pattern,\n"
+            "          qubits._flip_kernel)\n"
+            "print([cache.cache_info().currsize for cache in caches])\n"
+        )
+        src = Path(qubits.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "[0, 0, 0, 0]"
 
     @staticmethod
     def _calls():

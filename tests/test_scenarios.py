@@ -186,6 +186,14 @@ class TestSimulateShots:
         with pytest.raises(ValueError):
             simulate_shots(ghz(3), ComboShotPlan(combo), 100, seed=0)
 
+    def test_predictor_outside_the_group(self):
+        # a predictor on site 2 cannot stand in for a measurement of site 1
+        part = SitePartition(frozenset({1}), 3)
+        px, py = qubits.ghz_predictor(3, "x"), qubits.ghz_predictor(3, "y")
+        for plan in (SpinSumShotPlan(part, px, py), SpinSumShotPlan(part, py, px)):
+            with pytest.raises(ValueError, match=r"outside the steering group at sites \[2\]$"):
+                simulate_shots(ghz(3), plan, 1000, seed=1)
+
 
 class TestSweeps:
     def test_config_validation(self):
