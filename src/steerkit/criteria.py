@@ -18,7 +18,7 @@ from .core import (
     SitePartition,
     SteeringValue,
 )
-from .gaussian import GaussianState, HomodynePlan
+from .gaussian import GaussianState
 from .qubits import DetectionModel, PauliString
 
 MONOGAMY_TOLERANCE = 1e-9
@@ -299,10 +299,12 @@ def _spin_two_obs_scan(
     return out
 
 
-def _best_cv_product(
+def _cv_product_scan(
     state: GaussianState, group: frozenset[int], target_mode: int, config: CvScanConfig
-) -> SteeringValue:
-    """Best product value over the homodyne-angle grid, with optimal gains."""
+) -> list[SteeringValue]:
+    """Best product value over the homodyne-angle grid, with optimal gains,
+    for the group and then each nonempty proper subset in collective_scan's
+    order; each value is the minimum the subset's grid walk found."""
     modes = sorted(group)
     n_combinations = config.n_angles ** len(modes)
     if n_combinations > config.max_combinations:
@@ -310,17 +312,14 @@ def _best_cv_product(
             f"angle menu has {n_combinations} combinations; coarsen the grid "
             f"or raise max_combinations"
         )
-    angles = [k * math.pi / config.n_angles for k in range(config.n_angles)]
     n = state.n_modes
     targets = [gaussian.x_quadrature(n, target_mode), gaussian.p_quadrature(n, target_mode)]
-    variances = gaussian._grid_variances(state, targets, modes, config.n_angles)
-    best_x, best_p = (
-        gaussian.optimal_conditional_variance(
-            state, target, HomodynePlan.of(dict(zip(modes, best)))
-        )
-        for target, best in zip(targets, _first_best(variances, angles, len(modes)))
-    )
-    return gaussian._product_value(best_x, best_p, group, target_mode)
+    subsets = [modes] + [s for size in range(1, len(modes)) for s in combinations(modes, size)]
+    out = []
+    for subset in subsets:
+        variances = gaussian._grid_variances(state, targets, subset, config.n_angles)
+        out.append(gaussian._product_value(*variances.min(axis=1), frozenset(subset), target_mode))
+    return out
 
 
 def _default_config(state: AnyState, config: ScanConfig | None) -> ScanConfig:
@@ -361,15 +360,9 @@ def collective_scan(
                 f"QUBIT_SCAN_BUDGET = {QUBIT_SCAN_BUDGET}; shrink the group, the menu "
                 f"or the state"
             )
-    if isinstance(config, QubitScanConfig):
         full_value, *subsets = _spin_two_obs_scan(state, group, target_site, config, True)
     else:
-        full_value = _best_cv_product(state, group, target_site, config)
-        subsets = [
-            _best_cv_product(state, frozenset(subset), target_site, config)
-            for size in range(1, len(group))
-            for subset in combinations(sorted(group), size)
-        ]
+        full_value, *subsets = _cv_product_scan(state, group, target_site, config)
     collective = full_value.verdict and all(
         v.value >= 1.0 - COLLECTIVE_BOUNDARY_TOLERANCE for v in subsets
     )

@@ -697,21 +697,6 @@ def _table_variances(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.maximum(1.0 - values.sum(axis=-1), 0.0)
 
 
-def _inference_variances(
-    state: State,
-    partition: SitePartition,
-    targets: Sequence[PauliString],
-    menus: Mapping[int, Sequence[str]],
-) -> np.ndarray:
-    """optimal_inference_variance of each target for every assignment of the
-    group sites' menu labels, as a (len(targets), prod(len(menu))) array.
-
-    Assignments run in itertools.product order over the sorted group sites,
-    first site most significant, so argmin breaks ties like a running min.
-    """
-    return _table_variances(*_outcome_tables(state, partition, targets, menus))
-
-
 # The full group's outcome table is built and read in chunks of at most this
 # many bytes, one chunk per label assignment of the leading group sites.  A
 # 6-site group with a 3-label menu needs 1.1 MB, so every scan of up to 6
@@ -755,9 +740,11 @@ def _subset_variances(
     menu: Sequence[str],
     with_subsets: bool,
 ) -> dict[tuple[int, ...], np.ndarray]:
-    """_inference_variances of the targets, as (len(targets), m, ..., m)
-    arrays, for the steering group and, if with_subsets, each nonempty proper
-    subset, by size in itertools.combinations order; keyed by the sorted sites.
+    """optimal_inference_variance of the targets for every assignment of the
+    menu labels, as (len(targets), m, ..., m) arrays with one label axis per
+    sorted site, for the steering group and, if with_subsets, each nonempty
+    proper subset, by size in itertools.combinations order; keyed by the
+    sorted sites.
 
     Tracing a site out sums its outcome bits whatever it measured, so a
     subset's outcome tables are the group's at menu label 0 on its missing
@@ -807,7 +794,7 @@ def optimal_inference_variance(
     sum_a P(a) * Var(T | a).
     """
     menus = {site: (label,) for site, label in settings.items()}
-    return float(_inference_variances(state, partition, (target,), menus)[0, 0])
+    return float(_table_variances(*_outcome_tables(state, partition, (target,), menus))[0, 0])
 
 
 def random_pure_state(n: int, rng: np.random.Generator) -> PureState:

@@ -4,6 +4,7 @@ threshold searches, and finite-shot experiment emulation."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -388,7 +389,11 @@ class SweepConfig:
             raise ValueError("grid must be non-empty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("grid must be strictly increasing")
-        if self.seed < 0:
+        if (
+            isinstance(self.seed, bool)
+            or not isinstance(self.seed, numbers.Integral)
+            or self.seed < 0
+        ):
             raise ValueError("seed must be a non-negative integer")
 
 

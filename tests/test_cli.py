@@ -140,6 +140,14 @@ class TestEavesdropCommand:
         code, _, _ = run_cli(capsys, "eavesdrop", "--eta-grid", "a:b:c")
         assert code == 2
 
+    def test_grid_ending_at_one_survives_rounding(self, capsys):
+        # 0.09 + 13 * 0.07 evaluates to 1.0000000000000002
+        code, out, _ = run_cli(capsys, "eavesdrop", "--eta-grid", "0.09:1:0.07")
+        assert code == 0
+        records = [r for r in json_records(out) if r["record"] == "eavesdrop"]
+        assert len(records) == 14
+        assert records[-1]["eta"] == 1.0
+
     def test_grid_point_cap(self):
         # 0:1:1e-4 has one point more than the cap
         with pytest.raises(UsageError, match="points"):
@@ -220,6 +228,25 @@ class TestSweepCommand:
         )
         code, _, _ = run_cli(capsys, "sweep", "--config", str(config))
         assert code == 2
+
+    @pytest.mark.parametrize("seed", [2.5, True, "3", -1])
+    def test_non_integer_or_negative_seed_is_usage_error(self, tmp_path, capsys, seed):
+        config = tmp_path / "sweep.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "backend": "cv",
+                    "scenario": "cv-fixed-combo",
+                    "parameter": "r",
+                    "grid": [0.0, 1.0],
+                    "seed": seed,
+                }
+            )
+        )
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert "seed must be a non-negative integer" in err
 
     def test_json_output_round_trips(self, tmp_path, capsys):
         config = tmp_path / "sweep.json"

@@ -21,7 +21,14 @@ from steerkit.criteria import (
     spin_three_obs,
     spin_two_obs,
 )
-from steerkit.gaussian import HomodynePlan, cv_ghz, steering_product_cv, vacuum
+from steerkit.gaussian import (
+    HomodynePlan,
+    cv_ghz,
+    p_quadrature,
+    steering_product_cv,
+    vacuum,
+    x_quadrature,
+)
 from steerkit.qubits import (
     DetectionModel,
     PauliString,
@@ -470,9 +477,18 @@ class TestCollectiveScan:
             raise AssertionError("the scan evaluated settings")
 
         monkeypatch.setattr(qubits, "optimal_inference_variance", started)
-        monkeypatch.setattr(qubits, "_inference_variances", started, raising=False)
+        monkeypatch.setattr(qubits, "_outcome_tables", started)
         with pytest.raises(ValueError, match="QUBIT_SCAN_BUDGET"):
             collective_scan(state, n, range(1, n))
+
+    def test_cv_scan_values_come_from_the_grid_walk(self, monkeypatch):
+        def solved(*args, **kwargs):
+            raise AssertionError("the scan re-solved a plan with the eigh kernel")
+
+        monkeypatch.setattr(gaussian, "optimal_conditional_variance", solved)
+        monkeypatch.setattr(gaussian, "_conditional_variances", solved)
+        assert collective_scan(cv_ghz(1.0), 1, {2, 3}).collective
+        assert scenarios.secret_sharing_demo("cv").all_collective
 
     @pytest.mark.parametrize("n_angles", [2.5, True, "12", None])
     def test_cv_config_rejects_non_integer_angle_count(self, n_angles):
@@ -566,7 +582,10 @@ class TestScanMatchesBruteForce:
             target = int(rng.integers(1, 4))
             group = sorted({1, 2, 3} - {target})
             report = collective_scan(state, target, group, CvScanConfig(n_angles))
+            targets = [quadrature(3, target) for quadrature in (x_quadrature, p_quadrature)]
             for subset, value in _subset_values(report).items():
+                walk = gaussian._grid_variances(state, targets, sorted(subset), n_angles)
+                assert value == math.sqrt(walk[0].min()) * math.sqrt(walk[1].min())
                 want = _brute_force_cv_product(state, subset, target, n_angles)
                 assert abs(value - want) <= 1e-12, (trial, sorted(subset))
 

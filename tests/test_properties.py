@@ -301,8 +301,8 @@ def _scan_values(report):
 
 class TestSubsetTablesAreMarginals:
     """Every subset's inference variances read from the full group's outcome
-    tables equal _inference_variances run on that subset directly: tracing a
-    site out sums its outcomes under any measurement."""
+    tables equal those of outcome tables built on that subset directly:
+    tracing a site out sums its outcomes under any measurement."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -331,10 +331,10 @@ class TestSubsetTablesAreMarginals:
         subsets = [group] + [s for k in range(1, n_group) for s in combinations(group, k)]
         assert list(tables) == subsets
         for subset, got in tables.items():
-            want = qubits._inference_variances(
+            want = qubits._table_variances(*qubits._outcome_tables(
                 state, SitePartition(frozenset(subset), target), targets,
                 dict.fromkeys(subset, menu),
-            )
+            ))
             assert got.shape == (4,) + (len(menu),) * len(subset)
             got = got.reshape(want.shape)
             assert np.abs(got - want).max() <= 1e-12, subset
@@ -668,6 +668,8 @@ class TestCliGridParsing:
         grid = _parse_eta_grid(f"{start}:{stop}:{step}")
         assert len(grid) == count
         assert grid[0] == pytest.approx(start)
+        assert start <= min(grid)
+        assert max(grid) <= stop
 
     @given(st.floats(max_value=0.0, allow_nan=False, min_value=-10.0))
     def test_nonpositive_step_rejected(self, step):

@@ -76,6 +76,14 @@ class TestSecretSharing:
             for value in scan.subsets:
                 assert value.value >= 1.0 - 1e-9
 
+    # up to MAX_GHZ_SQUEEZING = 4, where the lone modes sit ~1.5e-10 under 1
+    @pytest.mark.parametrize("r", [0.25 * k for k in range(1, 17)])
+    def test_cv_demo_across_squeezing(self, r):
+        report = secret_sharing_demo("cv", 3, r)
+        assert report.all_collective
+        for result in report.monogamy:
+            assert result.satisfied
+
     def test_cv_vacuum_fails(self):
         report = secret_sharing_demo("cv", 3, r=0.0)
         assert not report.all_collective
