@@ -223,21 +223,6 @@ def _cmd_sweep(args) -> tuple[list[dict], dict]:
     return records, parameters
 
 
-def _run_selftest(stream) -> int:
-    from . import selftest
-
-    results = selftest.run_all()
-    failures = 0
-    for result in results:
-        if result.passed:
-            print(f"PASS {result.name}", file=stream)
-        else:
-            failures += 1
-            print(f"FAIL {result.name}: {result.detail}", file=stream)
-    print(f"{len(results) - failures}/{len(results)} checks passed", file=stream)
-    return 0 if failures == 0 else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steerkit",
@@ -311,7 +296,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     if args.command == "selftest":
-        return _run_selftest(sys.stdout)
+        from . import selftest
+
+        return selftest.run_all()
     start = time.perf_counter()
     try:
         records, parameters = args.handler(args)

@@ -64,14 +64,20 @@ class GenuineSteeringReport:
         }
 
 
+def _only_full_group_steers(full_group: SteeringValue, subsets: Iterable[SteeringValue]) -> bool:
+    """The collective rule of CollectiveSteeringReport."""
+    edge = 1.0 - COLLECTIVE_BOUNDARY_TOLERANCE
+    return full_group.value < edge and all(v.value >= edge for v in subsets)
+
+
 @dataclass(frozen=True)
 class CollectiveSteeringReport:
     """Best criterion value for the full group and for every proper subset.
 
-    Collective steering holds when the full group steers while no proper
-    subset reaches a value below 1.  Subset values are compared with a
-    1e-9 guard so that constructions sitting exactly on the boundary
-    (where rounding can land a hair under 1) still count as not steering.
+    Collective steering holds when only the full group steers: its value
+    lies below 1 - COLLECTIVE_BOUNDARY_TOLERANCE (1e-9) and no proper subset's
+    does.  The guard makes constructions that sit exactly on the bound, where
+    rounding can land a value a hair either side of 1, count as not steering.
     """
 
     full_group: SteeringValue
@@ -79,12 +85,10 @@ class CollectiveSteeringReport:
     collective: bool
 
     def __post_init__(self) -> None:
-        expected = self.full_group.verdict and all(
-            v.value >= 1.0 - COLLECTIVE_BOUNDARY_TOLERANCE for v in self.subsets
-        )
-        if self.collective != expected:
+        if self.collective != _only_full_group_steers(self.full_group, self.subsets):
             raise ValueError(
-                "collective flag must equal (full-group verdict and no subset below 1)"
+                "collective flag must equal (full group below 1 and no subset below 1, "
+                "with a 1e-9 guard)"
             )
 
 
@@ -276,18 +280,15 @@ def _spin_two_obs_scan(
     group: frozenset[int],
     target_site: int,
     config: QubitScanConfig,
-    with_subsets: bool,
 ) -> list[SteeringValue]:
     """Best two-observable spin value over the settings menu for the group
-    and, if with_subsets, each nonempty proper subset in collective_scan's
-    order; each inference variance is minimized independently, and the
-    values come from optimal_inference_variance at the first argmin."""
+    and then each nonempty proper subset in collective_scan's order; each
+    inference variance is minimized independently, and the values come from
+    optimal_inference_variance at the first argmin."""
     menu = config.settings_menu
     n = qubits.state_qubits(state)
     targets = [PauliString.single(n, target_site, label) for label in "XY"]
-    variances = qubits._subset_variances(
-        state, SitePartition(group, target_site), targets, menu, with_subsets
-    )
+    variances = qubits._subset_variances(state, SitePartition(group, target_site), targets, menu)
     out = []
     for subset, subset_variances in variances.items():
         partition = SitePartition(frozenset(subset), target_site)
@@ -360,19 +361,20 @@ def collective_scan(
                 f"QUBIT_SCAN_BUDGET = {QUBIT_SCAN_BUDGET}; shrink the group, the menu "
                 f"or the state"
             )
-        full_value, *subsets = _spin_two_obs_scan(state, group, target_site, config, True)
+        full_value, *subsets = _spin_two_obs_scan(state, group, target_site, config)
     else:
         full_value, *subsets = _cv_product_scan(state, group, target_site, config)
-    collective = full_value.verdict and all(
-        v.value >= 1.0 - COLLECTIVE_BOUNDARY_TOLERANCE for v in subsets
+    return CollectiveSteeringReport(
+        full_value, tuple(subsets), _only_full_group_steers(full_value, subsets)
     )
-    return CollectiveSteeringReport(full_value, tuple(subsets), collective)
 
 
 def pure_state_tripartite_scan(
     state: AnyState, config: ScanConfig | None = None
 ) -> TripartiteScanReport:
-    """For each site of a tripartite state, evaluate steering by the other two.
+    """For each site of a tripartite state, evaluate steering by the other two:
+    a qubit value is collective_scan's full-group value, a Gaussian value is
+    fixed_combo_steering's.
 
     For pure states, steering of every site by its complement certifies
     genuine tripartite steering; purity is asserted by the caller and only
@@ -383,9 +385,8 @@ def pure_state_tripartite_scan(
     else:
         if qubits.state_qubits(state) != 3:
             raise ValueError(f"need exactly 3 qubits, got {qubits.state_qubits(state)}")
-        config = _default_config(state, config)
         values = [
-            _spin_two_obs_scan(state, part.steering_group, part.target_site, config, False)[0]
+            collective_scan(state, part.target_site, part.steering_group, config).full_group
             for part in STEERED_BY_COMPLEMENT
         ]
     per_site = tuple(values)

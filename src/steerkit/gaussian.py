@@ -46,7 +46,7 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(eigs))[::2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianState:
     """First and second quadrature moments of an n-mode Gaussian state."""
 
@@ -217,7 +217,7 @@ def eavesdrop_scenario(r: float, efficiency: float) -> GaussianState:
     return _tap(_ghz_network(5, r), efficiency)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureCombo:
     """Real linear combination of quadratures, one coefficient per x and p."""
 

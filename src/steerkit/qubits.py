@@ -68,7 +68,7 @@ def _power_of_two_dim(dim: int) -> bool:
     return dim >= 2 and not dim & (dim - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized state vector over n qubits."""
 
@@ -98,7 +98,7 @@ class PureState:
 _UNIT_WEIGHT = freeze(np.ones(1))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class DensityMatrix:
     """Mixed state over n qubits: rho = sum_i weights[i] |c_i><c_i| + noise * I / 2^n,
     with the unit-norm c_i as the rows of the (r, 2^n) `components`.
@@ -738,13 +738,11 @@ def _subset_variances(
     partition: SitePartition,
     targets: Sequence[PauliString],
     menu: Sequence[str],
-    with_subsets: bool,
 ) -> dict[tuple[int, ...], np.ndarray]:
     """optimal_inference_variance of the targets for every assignment of the
     menu labels, as (len(targets), m, ..., m) arrays with one label axis per
-    sorted site, for the steering group and, if with_subsets, each nonempty
-    proper subset, by size in itertools.combinations order; keyed by the
-    sorted sites.
+    sorted site, for the steering group and then each nonempty proper subset,
+    by size in itertools.combinations order; keyed by the sorted sites.
 
     Tracing a site out sums its outcome bits whatever it measured, so a
     subset's outcome tables are the group's at menu label 0 on its missing
@@ -756,9 +754,7 @@ def _subset_variances(
     m, k = len(menu), len(sites)
     row_bytes = 8 * (1 + len(targets)) << k
     lead = next((j for j in range(k) if row_bytes * m ** (k - j) <= _TABLE_CHUNK_BYTES), k)
-    subsets = [sites]
-    if with_subsets:
-        subsets += [s for size in range(1, k) for s in combinations(sites, size)]
+    subsets = [sites] + [s for size in range(1, k) for s in combinations(sites, size)]
     variances = {s: np.empty((len(targets),) + (m,) * len(s)) for s in subsets}
     shape = (m,) * (k - lead) + (2,) * k
     for fixed in product(range(m), repeat=lead):
@@ -768,8 +764,7 @@ def _subset_variances(
         }
         probs, values = _outcome_tables(state, partition, targets, menus)
         tables = _marginal_tables(
-            probs.reshape(shape), values.reshape(-1, *shape), tuple(range(k)), lead, fixed,
-            0 if with_subsets else k,
+            probs.reshape(shape), values.reshape(-1, *shape), tuple(range(k)), lead, fixed, 0
         )
         for kept, probs, values in tables:
             free = sum(i >= lead for i in kept)

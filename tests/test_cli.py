@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from steerkit import cli, gaussian
+from steerkit import cli, gaussian, qubits, scenarios, selftest
 from steerkit.cli import UsageError, _parse_eta_grid, build_parser, main
 
 
@@ -354,3 +354,65 @@ class TestDeterminismAndPlumbing:
         args = parser.parse_args(["ghz-cv", "--r", "0.5"])
         assert args.command == "ghz-cv"
         assert args.r == 0.5
+
+
+class TestSelftestCommand:
+    NAMES = [
+        "ghz amplitudes",
+        f"ghz predictors: zero variance, 4(1 - p) when depolarized, 2..{qubits.MAX_QUBITS} qubits",
+        "pauli expectations on ghz(3)",
+        "global depolarizing mixture",
+        "optimal inference variances",
+        "detection-loss closed forms",
+        "spin criteria closed forms",
+        "efficiency and squeezing thresholds",
+        "genuine tripartite sums",
+        "monogamy boundary product",
+        "vacuum and squeezers",
+        "beamsplitters and loss",
+        "cv ghz correlation variances",
+        "fixed-combination criterion",
+        "optimal conditional variances",
+        "cv steering product",
+        "cv genuine tripartite sum",
+        "eavesdropping symmetry",
+        "collective steering demonstrations",
+    ]
+
+    def test_prints_one_pass_line_per_check_then_the_tally(self, capsys):
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == 0
+        assert [name for name, _ in selftest.CHECKS] == self.NAMES
+        assert len(set(self.NAMES)) == 19
+        assert out.splitlines() == [f"PASS {name}" for name in self.NAMES] + [
+            "19/19 checks passed"
+        ]
+
+    @pytest.mark.parametrize("wrong", [0.25, math.nan])
+    def test_a_wrong_value_fails_its_check(self, capsys, monkeypatch, wrong):
+        monkeypatch.setattr(qubits, "expectation", lambda *args: wrong)
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == 1
+        lines = out.splitlines()
+        assert f"FAIL pauli expectations on ghz(3): expected 1.0, got {wrong!r} (tol 1e-12)" in lines
+        assert len(lines) == 20
+        for line, name in zip(lines, self.NAMES):
+            assert line == f"PASS {name}" or line.startswith(f"FAIL {name}: expected ")
+        failed = sum(line.startswith("FAIL ") for line in lines)
+        assert lines[-1] == f"{19 - failed}/19 checks passed"
+
+    def test_an_exception_inside_a_check_is_a_failure(self, capsys, monkeypatch):
+        def no_bracket(name):
+            raise RuntimeError(f"no bracket for {name}")
+
+        monkeypatch.setattr(scenarios, "run_threshold_scenario", no_bracket)
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[7] == (
+            "FAIL efficiency and squeezing thresholds: RuntimeError: no bracket for three-obs-eta"
+        )
+        assert lines[:7] + lines[8:-1] == [
+            f"PASS {name}" for name in self.NAMES[:7] + self.NAMES[8:]
+        ]
+        assert lines[-1] == "18/19 checks passed"

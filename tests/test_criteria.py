@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from steerkit import criteria, gaussian, qubits, scenarios
-from steerkit.core import CriterionId, SitePartition, SteeringValue, partition
+from steerkit.core import (
+    STEERED_BY_COMPLEMENT,
+    CriterionId,
+    SitePartition,
+    SteeringValue,
+    partition,
+)
 from steerkit.criteria import (
     CvScanConfig,
     QubitScanConfig,
@@ -510,6 +516,29 @@ class TestCollectiveScan:
             assert value.value >= 1.0 - 1e-9
         assert report.collective
 
+    def test_full_group_on_the_bound_is_not_collective(self):
+        # x-only homodyning (one angle) leaves the cv_ghz full-group product
+        # exactly on the bound, where rounding lands it either side of 1
+        values = []
+        for i in range(41):
+            state = cv_ghz(0.1 * i)
+            for target in (1, 2, 3):
+                rest = [s for s in (1, 2, 3) if s != target]
+                report = collective_scan(state, target, rest, CvScanConfig(1))
+                values.append(report.full_group.value)
+                assert not report.collective, (i, target, report.full_group.value)
+        assert max(abs(v - 1.0) for v in values) < 1e-9
+
+    def test_report_guards_the_full_group_like_the_subsets(self):
+        just_under = SteeringValue.of(CriterionId.CV_PRODUCT, partition([2, 3], 1), 1.0 - 1e-10)
+        assert just_under.verdict
+        assert not criteria.CollectiveSteeringReport(just_under, (), False).collective
+        with pytest.raises(ValueError, match="collective flag"):
+            criteria.CollectiveSteeringReport(just_under, (), True)
+        clear = SteeringValue.of(CriterionId.CV_PRODUCT, partition([2, 3], 1), 0.5)
+        lone = SteeringValue.of(CriterionId.CV_PRODUCT, partition([2], 1), 1.0 - 1e-10)
+        assert criteria.CollectiveSteeringReport(clear, (lone,), True).collective
+
 
 def _subset_values(report):
     return {v.partition.steering_group: v.value for v in (report.full_group, *report.subsets)}
@@ -613,6 +642,16 @@ class TestTripartiteScan:
         with pytest.raises(ValueError):
             pure_state_tripartite_scan(vacuum(4))
 
+    @pytest.mark.parametrize("menu", [("X", "Y", "Z"), ("Z",)])
+    def test_qubit_values_are_the_collective_scans_full_groups(self, menu):
+        rng = np.random.default_rng(18)
+        config = QubitScanConfig(menu)
+        for state in (ghz(3), depolarize_global(ghz(3), 0.8), random_density_matrix(3, rng, 2)):
+            report = pure_state_tripartite_scan(state, config)
+            for value, part in zip(report.per_site, STEERED_BY_COMPLEMENT):
+                scan = collective_scan(state, part.target_site, part.steering_group, config)
+                assert value == scan.full_group
+
 
 class TestScanTableChunks:
     """A scan reads its subsets from the full group's outcome tables, built
@@ -648,13 +687,13 @@ class TestScanTableChunks:
         group = SitePartition(frozenset(range(1, n)), n)
         assert self._whole_table_bytes(n - 1) <= qubits._TABLE_CHUNK_BYTES
         one_chunk = collective_scan(state, n, range(1, n))
-        one_chunk_variances = qubits._subset_variances(state, group, targets, "XYZ", True)
+        one_chunk_variances = qubits._subset_variances(state, group, targets, "XYZ")
         monkeypatch.setattr(qubits, "_TABLE_CHUNK_BYTES", cap)
         built = self._count_chunks(monkeypatch)
         assert collective_scan(state, n, range(1, n)) == one_chunk
         assert len(built) > 3 and set(built) == {n - 1}
         # a chunk holds the same products row for row as the one-chunk table
-        variances = qubits._subset_variances(state, group, targets, "XYZ", True)
+        variances = qubits._subset_variances(state, group, targets, "XYZ")
         assert variances.keys() == one_chunk_variances.keys()
         for subset, values in variances.items():
             assert np.array_equal(values, one_chunk_variances[subset]), subset

@@ -75,6 +75,17 @@ class TestVacuumAndValidation:
         with pytest.raises(ValueError):
             state.cov[0, 0] = 2.0
 
+    @pytest.mark.parametrize(
+        "build", [lambda: cv_ghz(1.0), lambda: x_quadrature(3, 1)], ids=["state", "combo"]
+    )
+    def test_states_and_combos_compare_by_identity(self, build):
+        # a dataclass == would compare the arrays, whose truth value is ambiguous
+        value, twin = build(), build()
+        assert value == value and value != twin
+        assert value in [twin, value] and twin not in [value]
+        assert len({value, twin, value}) == 2
+        assert hash(value) == hash(value)
+
 
 class TestCircuitOperations:
     def test_squeeze_x_axis(self):

@@ -326,7 +326,7 @@ class TestSubsetTablesAreMarginals:
         # Z and the identity flip no bit, so the white noise adds to their values
         targets = [PauliString.single(n, target, label) for label in "XYZI"]
         tables = qubits._subset_variances(
-            state, SitePartition(frozenset(group), target), targets, tuple(menu), True
+            state, SitePartition(frozenset(group), target), targets, tuple(menu)
         )
         subsets = [group] + [s for k in range(1, n_group) for s in combinations(group, k)]
         assert list(tables) == subsets
@@ -352,7 +352,7 @@ class TestSubsetTablesAreMarginals:
         assert np.array_equal(probs, np.full((8, 8), 1 / 8))
         assert not values.any()
         tables = qubits._subset_variances(
-            state, group, [PauliString.single(4, 4, label) for label in "XZ"], "XZ", True
+            state, group, [PauliString.single(4, 4, label) for label in "XZ"], "XZ"
         )
         for variances in tables.values():
             assert np.array_equal(variances, np.ones_like(variances))

@@ -100,6 +100,17 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
 
+    @pytest.mark.parametrize(
+        "build", [lambda: ghz(3), lambda: depolarize_global(ghz(3), 0.5)], ids=["pure", "mixed"]
+    )
+    def test_states_compare_by_identity(self, build):
+        # a dataclass == would compare the arrays, whose truth value is ambiguous
+        state, twin = build(), build()
+        assert state == state and state != twin
+        assert state in [twin, state] and twin not in [state]
+        assert len({state, twin, state}) == 2
+        assert hash(state) == hash(state)
+
 
 class TestPauliString:
     def test_rejects_bad_label(self):
