@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -32,6 +33,16 @@ TWO_OBSERVABLE_CRITERIA = frozenset(
 )
 
 
+def as_site(site) -> int:
+    """A site (or mode) index as a Python int: any integer but a bool, so
+    that a float, a string or True is refused instead of truncated."""
+    if type(site) is int:  # the common case, without the slower ABC check
+        return site
+    if isinstance(site, bool) or not isinstance(site, numbers.Integral):
+        raise ValueError(f"sites must be integers, got {site!r}")
+    return int(site)
+
+
 @dataclass(frozen=True)
 class SitePartition:
     """A steering group A and the single target site B it tries to steer.
@@ -43,9 +54,9 @@ class SitePartition:
     target_site: int
 
     def __post_init__(self) -> None:
-        group = frozenset(int(s) for s in self.steering_group)
+        group = frozenset(map(as_site, self.steering_group))
         object.__setattr__(self, "steering_group", group)
-        object.__setattr__(self, "target_site", int(self.target_site))
+        object.__setattr__(self, "target_site", as_site(self.target_site))
         if not group:
             raise ValueError("steering group must be non-empty")
         if min(group) < 1 or self.target_site < 1:

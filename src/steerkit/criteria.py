@@ -17,6 +17,7 @@ from .core import (
     CriterionId,
     SitePartition,
     SteeringValue,
+    as_site,
 )
 from .gaussian import GaussianState
 from .qubits import DetectionModel, PauliString
@@ -347,7 +348,8 @@ def collective_scan(
     Subsets are evaluated with the best settings in the configured menu, so
     a subset failure means no strategy in the menu steers the target.
     """
-    group = frozenset(int(s) for s in full_group)
+    group = frozenset(map(as_site, full_group))
+    target_site = as_site(target_site)
     if not group:
         raise ValueError("full group must be non-empty")
     if target_site in group:

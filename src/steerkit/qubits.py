@@ -64,6 +64,13 @@ def _check_dense_bytes(shape: tuple[int, ...]) -> None:
         )
 
 
+# DensityMatrix(matrix) solves a dense Hermitian eigenproblem, whose time grows
+# as dim^3: on one core of a 2-vCPU machine it took 1.3 s at dim 2^10, 9.7 s at
+# 2^11 and about 3 minutes at 2^12.  Matrices past this limit are refused
+# before they are copied, although DENSE_BYTES_BUDGET admits them up to 2^12.
+DENSE_EIGH_MAX_DIM = 1 << 10
+
+
 def _power_of_two_dim(dim: int) -> bool:
     return dim >= 2 and not dim & (dim - 1)
 
@@ -91,6 +98,11 @@ class PureState:
     def n_qubits(self) -> int:
         return self.amplitudes.size.bit_length() - 1
 
+    @functools.cached_property
+    def _moments(self) -> dict[tuple[int, int], np.complex128]:
+        """Raw Pauli moments kept by _mask_expectations."""
+        return {}
+
     def density_matrix(self) -> "DensityMatrix":
         return DensityMatrix._from_ensemble(self.amplitudes[None], _UNIT_WEIGHT, 0.0)
 
@@ -104,8 +116,8 @@ class DensityMatrix:
     with the unit-norm c_i as the rows of the (r, 2^n) `components`.
 
     DensityMatrix(matrix) checks a Hermitian, unit-trace, positive-semidefinite
-    matrix and keeps its eigenpairs as the ensemble; `.matrix` rebuilds the
-    dense matrix on first use.
+    matrix of at most DENSE_EIGH_MAX_DIM rows and keeps its eigenpairs as the
+    ensemble; `.matrix` rebuilds the dense matrix on first use.
     """
 
     components: np.ndarray
@@ -118,6 +130,12 @@ class DensityMatrix:
             raise ValueError("density matrix must be square with power-of-two dimension")
         _check_n_qubits(shape[0].bit_length() - 1)
         _check_dense_bytes(shape)
+        if shape[0] > DENSE_EIGH_MAX_DIM:
+            raise ValueError(
+                f"a {shape[0]} x {shape[0]} density matrix needs an eigen-solve past "
+                f"DENSE_EIGH_MAX_DIM = {DENSE_EIGH_MAX_DIM}; build larger mixed states as "
+                f"ensembles (depolarize_global, random_density_matrix)"
+            )
         mat = np.array(matrix, dtype=complex)
         if not np.isfinite(mat).all():
             raise ValueError("density matrix entries must be finite")
@@ -173,6 +191,11 @@ class DensityMatrix:
     @property
     def n_qubits(self) -> int:
         return self.components.shape[1].bit_length() - 1
+
+    @functools.cached_property
+    def _moments(self) -> dict[tuple[int, int], np.complex128]:
+        """Raw Pauli moments kept by _mask_expectations."""
+        return {}
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -302,8 +325,9 @@ def _check_n_sites(strings: Sequence[PauliString], n: int) -> None:
 
 # Read-only basis indices and parity signs shared by every expectation, in
 # bounded caches.  At n = 14 either array takes 128 KiB, so the sign cache
-# holds at most 16 MiB.  A spin sum reads at most nine sign vectors, and one
-# cycle of the noisy-qubit benchmark deck (n = 3..10) reads 84.
+# holds at most 16 MiB.  A spin sum reads at most nine sign vectors.  One
+# cycle of the noisy-qubit benchmark deck (n = 3..10) reads 84 distinct ones,
+# 846 times in all; each state's moment memo saves the other 1434 reads.
 @functools.lru_cache(maxsize=MAX_QUBITS)
 def _basis_index(n: int) -> np.ndarray:
     return freeze(np.arange(1 << n, dtype=np.uint64))
@@ -315,29 +339,51 @@ def _phase_signs(n: int, phase_mask: int) -> np.ndarray:
     return freeze(_parity_signs(_basis_index(n) & np.uint64(phase_mask)))
 
 
+# A state's moment memo stops growing at this many entries.  An entry, a
+# NumPy complex scalar under its (flip, phase) key, takes 160-220 bytes, so a
+# full memo holds under 1 MiB (630 KiB measured with tracemalloc at n = 7).
+# Threads that share a state may both read and store one moment; they store
+# equal values, and pass the cap by at most one entry per extra thread.
+_MOMENT_MEMO_ENTRIES = 1 << 12
+
+
+def _band(
+    n: int, components: np.ndarray, weights: np.ndarray, noise: float, flip: int
+) -> np.ndarray:
+    """The band rho[x, x ^ flip] of the ensemble, the noise on its diagonal;
+    one C-ordered temporary, so that the sum adds in the same order."""
+    band = np.take(components, _basis_index(n) ^ np.uint64(flip), axis=1)
+    np.conjugate(band, out=band)
+    np.multiply(components, band, out=band)
+    np.multiply(weights[:, None], band, out=band)
+    band = band.sum(axis=0)
+    if flip == 0:
+        band += noise / (1 << n)
+    return band
+
+
 def _mask_expectations(state: State, masks: Sequence[Masks]) -> list[float]:
-    """Exact <obs> of each Pauli string, given by its n-site masks; strings
-    that flip the same bits read one band of the state, built once."""
+    """Exact <obs> of each Pauli string, given by its n-site masks.
+
+    The raw moment sum_x (-1)**popcount(x & phase) * rho[x, x ^ flip] of each
+    (flip, phase) pair is kept in the state's memo, until it holds
+    _MOMENT_MEMO_ENTRIES, so a later call reads it instead of the state.  A
+    moment the memo lacks reads the band of its flip mask, built once per
+    call and dropped after it.
+    """
     n = state_qubits(state)
-    components, weights, noise = _ensemble(state)
-    dim = 1 << n
-    idx = _basis_index(n)
+    ensemble = _ensemble(state)
+    memo = state._moments
     bands: dict[int, np.ndarray] = {}
     out = []
     for flip, phase_mask, prefactor in masks:
-        band = bands.get(flip)
-        if band is None:
-            # the band rho[x, x ^ flip] of the ensemble, the noise on its
-            # diagonal; one C-ordered temporary, so that the sum adds in the
-            # same order
-            band = np.take(components, idx ^ np.uint64(flip), axis=1)
-            np.conjugate(band, out=band)
-            np.multiply(components, band, out=band)
-            np.multiply(weights[:, None], band, out=band)
-            band = bands[flip] = band.sum(axis=0)
-            if flip == 0:
-                band += noise / dim
-        raw = (_phase_signs(n, phase_mask) * band).sum()
+        raw = memo.get((flip, phase_mask))
+        if raw is None:
+            if flip not in bands:
+                bands[flip] = _band(n, *ensemble, flip)
+            raw = (_phase_signs(n, phase_mask) * bands[flip]).sum()
+            if len(memo) < _MOMENT_MEMO_ENTRIES:
+                memo[flip, phase_mask] = raw
         out.append(float((prefactor * raw).real))
     return out
 

@@ -61,6 +61,19 @@ class TestCoreTypes:
         with pytest.raises(ValueError):
             SitePartition(frozenset({0, 1}), 2)
 
+    @pytest.mark.parametrize("bad", [1.5, True, "2"])
+    def test_partition_rejects_non_integer_sites(self, bad):
+        with pytest.raises(ValueError, match="sites must be integers"):
+            SitePartition(frozenset({bad, 4}), 3)
+        with pytest.raises(ValueError, match="sites must be integers"):
+            SitePartition(frozenset({1, 2}), bad)
+
+    def test_partition_accepts_numpy_integers(self):
+        part = SitePartition(frozenset(np.array([1, 2])), np.int64(3))
+        assert part == SitePartition(frozenset({1, 2}), 3)
+        assert type(part.target_site) is int
+        assert all(type(site) is int for site in part.steering_group)
+
     def test_partition_helper(self):
         part = partition([3, 2], 1)
         assert part.steering_group == frozenset({2, 3})
@@ -451,6 +464,15 @@ class TestCollectiveScan:
     def test_rejects_target_inside_group(self):
         with pytest.raises(ValueError):
             collective_scan(ghz(3), 1, {1, 2})
+
+    @pytest.mark.parametrize("bad", [1.5, True, "2"])
+    def test_rejects_non_integer_sites(self, bad):
+        with pytest.raises(ValueError, match="sites must be integers"):
+            collective_scan(ghz(3), 3, [bad, 2])
+        with pytest.raises(ValueError, match="sites must be integers"):
+            collective_scan(ghz(4), bad, [1, 4])
+        with pytest.raises(ValueError, match="sites must be integers"):
+            collective_scan(cv_ghz(1.0), 1, [bad, 3])
 
     def test_rejects_mismatched_config(self):
         with pytest.raises(ValueError):

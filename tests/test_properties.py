@@ -43,7 +43,13 @@ from steerkit.qubits import (
     random_pure_state,
     variance_of_difference,
 )
-from steerkit.scenarios import EavesdropRecord, eavesdrop_sweep, find_threshold
+from steerkit.scenarios import (
+    EavesdropRecord,
+    SpinSumShotPlan,
+    eavesdrop_sweep,
+    find_threshold,
+    simulate_shots,
+)
 
 import oracles
 
@@ -242,6 +248,54 @@ class TestBatchedMoments:
             for term in terms[:count]:
                 want += term
             assert value.value.hex() == want.hex()
+
+    @given(**_MOMENT_CASES)
+    @settings(max_examples=60, deadline=None)
+    def test_warm_state_gives_fresh_bits(self, seed, n, kind, policy):
+        # each call reads the moments that earlier calls left in the state's
+        # memo; a fresh copy of the state starts with an empty memo
+        state, model, rng = _moment_case(seed, n, kind, policy)
+        target = int(rng.integers(1, n + 1))
+        others = [s for s in range(1, n + 1) if s != target]
+        group = frozenset(int(s) for s in rng.choice(others, int(rng.integers(1, n)), replace=False))
+        part = SitePartition(group, target)
+
+        def predictor():
+            labels = {s: str(rng.choice(list("IXYZ"))) for s in group}
+            return PauliString.from_sites(n, labels, int(rng.choice([1, -1])))
+
+        calls = []
+        for _ in range(int(rng.integers(1, 4))):
+            px, py, pz = predictor(), predictor(), predictor()
+            obs = PauliString(tuple(rng.choice(list("IXYZ"), size=n)), int(rng.choice([1, -1])))
+            calls += [
+                (expectation, (obs,)),
+                (spin_two_obs, (part, px, py)),
+                (spin_two_obs, (part, px, py, model)),
+                (spin_three_obs, (part, px, py, pz)),
+                (spin_three_obs, (part, px, py, pz, model)),
+                (simulate_shots, (SpinSumShotPlan(part, px, py), 20, int(rng.integers(2**16)))),
+            ]
+        calls = [calls[i] for i in rng.permutation(len(calls))]
+
+        def bits(result):
+            if isinstance(result, float):
+                return [result.hex()]
+            if isinstance(result, SteeringValue):
+                return [result.value.hex()]
+            return [result.estimate.hex(), result.standard_error.hex()]
+
+        fresh = [bits(call(_fresh_copy(state), *args)) for call, args in calls]
+        assert [bits(call(state, *args)) for call, args in calls] == fresh
+        # and again, every moment now read from the memo
+        assert [bits(call(state, *args)) for call, args in calls] == fresh
+
+
+def _fresh_copy(state):
+    """A new state object with the same arrays, and so an empty moment memo."""
+    if isinstance(state, qubits.PureState):
+        return qubits.PureState(state.amplitudes)
+    return qubits.DensityMatrix._from_ensemble(state.components, state.weights, state.noise)
 
 
 def _masks_dense(n, masks):

@@ -1,5 +1,6 @@
 """Qubit backend: states, Pauli expectations, predictors, inference, loss."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 from steerkit import qubits
 from steerkit.core import SitePartition
+from steerkit.criteria import monogamy_check, spin_three_obs, spin_two_obs
 from steerkit.qubits import (
     DensityMatrix,
     DetectionModel,
@@ -594,6 +596,29 @@ class TestDenseBytesBudget:
         with pytest.raises(ValueError, match="DENSE_BYTES_BUDGET"):
             DensityMatrix(view)
 
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_dense_constructor_refuses_large_eigen_solves(self, n, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigh was called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_solve)
+        # a zero-memory view that DENSE_BYTES_BUDGET admits
+        view = np.broadcast_to(np.complex128(0.0), (2**n, 2**n))
+        with pytest.raises(ValueError, match="DENSE_EIGH_MAX_DIM = 1024"):
+            DensityMatrix(view)
+
+    def test_dense_constructor_solves_up_to_n_10(self, monkeypatch):
+        class Solved(Exception):
+            pass
+
+        def solve(matrix):
+            raise Solved
+
+        monkeypatch.setattr(np.linalg, "eigh", solve)
+        assert qubits.DENSE_EIGH_MAX_DIM == 2**10
+        with pytest.raises(Solved):
+            DensityMatrix(np.eye(2**10, dtype=complex) / 2**10)
+
     @pytest.mark.parametrize("n, rank", [(13, None), (14, 1025)])
     def test_random_state_refused_before_drawing(self, n, rank):
         class NoDraws:
@@ -610,6 +635,128 @@ class TestDenseBytesBudget:
         noisy = depolarize_global(ghz(n), 0.9)
         assert noisy.components.shape == (1, 2**n)
         assert noisy.noise == pytest.approx(0.1)
+
+
+def _fresh(state):
+    """A new state object with the same arrays, and so an empty moment memo."""
+    if isinstance(state, PureState):
+        return PureState(state.amplitudes)
+    return DensityMatrix._from_ensemble(state.components, state.weights, state.noise)
+
+
+def _noisy_operation(state, kind):
+    """The criterion calls of one noisy-qubit benchmark operation on an n-qubit
+    state: both spin sums with and without a detection model, then on random
+    states the two single-site values and their monogamy product."""
+    n = qubits.state_qubits(state)
+    group = SitePartition(frozenset(range(1, n)), n)
+    px, py, pz = ghz_predictor(n, "x"), ghz_predictor(n, "y"), ghz_z_predictor(n)
+    model = DetectionModel(0.8)
+    values = [
+        spin_two_obs(state, group, px, py).value,
+        spin_two_obs(state, group, px, py, model).value,
+        spin_three_obs(state, group, px, py, pz).value,
+        spin_three_obs(state, group, px, py, pz, model).value,
+    ]
+    if kind == "random":
+        singles = [
+            spin_two_obs(state, SitePartition(frozenset({site}), n),
+                         PauliString.single(n, site, "X"), PauliString.single(n, site, "Y"))
+            for site in (1, 2)
+        ]
+        values += [v.value for v in singles] + [monogamy_check(*singles).product]
+    return values
+
+
+class TestMomentMemo:
+    """Each state keeps the raw Pauli moments read from it, up to
+    _MOMENT_MEMO_ENTRIES of them; a warm state gives a fresh state's bits."""
+
+    def test_memo_stops_at_its_cap(self):
+        rng = np.random.default_rng(71)
+        cap = qubits._MOMENT_MEMO_ENTRIES
+        for state in (random_pure_state(7, rng), _random_ensemble(7, rng)):
+            pairs = rng.choice(4**7, size=cap + 500, replace=False)
+            masks = [(int(p) >> 7, int(p) & 127, 1j ** int(p % 4)) for p in pairs]
+            warm = []
+            for start in range(0, len(masks), 250):
+                warm += qubits._mask_expectations(state, masks[start : start + 250])
+            assert len(state._moments) == cap
+            # the first cap moments come from the memo, the rest are read again
+            again = qubits._mask_expectations(state, masks[cap - 100 :])
+            assert len(state._moments) == cap
+            fresh = qubits._mask_expectations(_fresh(state), masks)
+            assert [v.hex() for v in warm] == [v.hex() for v in fresh]
+            assert [v.hex() for v in again] == [v.hex() for v in fresh[cap - 100 :]]
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_states_sharing_components_keep_their_own_moments(self, n):
+        strings = (PauliString.from_sites(n, {1: "Z", 2: "Z"}), PauliString(("X",) * n))
+        fresh_pure = [expectation(ghz(n), obs) for obs in strings]
+        fresh_noisy = [expectation(depolarize_global(ghz(n), 0.25), obs) for obs in strings]
+        assert fresh_pure == pytest.approx([1.0, -1.0])
+        assert fresh_noisy == pytest.approx([0.25 * v for v in fresh_pure])
+        for first in (0, 1):
+            pure = ghz(n)
+            noisy = depolarize_global(pure, 0.25)
+            assert np.shares_memory(noisy.components, pure.amplitudes)
+            states = (pure, noisy)
+            for state in states[first:] + states[:first]:
+                for obs in strings:
+                    expectation(state, obs)
+            assert pure._moments is not noisy._moments
+            for state, fresh in ((pure, fresh_pure), (noisy, fresh_noisy)):
+                warm = [expectation(state, obs) for obs in strings]
+                assert [v.hex() for v in warm] == [v.hex() for v in fresh]
+
+    @pytest.mark.parametrize(
+        "build, names",
+        [
+            (lambda: random_pure_state(3, np.random.default_rng(5)), ["amplitudes"]),
+            (lambda: _random_ensemble(3, np.random.default_rng(5)),
+             ["components", "weights", "noise"]),
+        ],
+        ids=["pure", "mixed"],
+    )
+    def test_memo_is_not_part_of_the_value(self, build, names):
+        state, twin = build(), build()
+        expectation(state, PauliString(("X", "Y", "Z")))
+        assert state._moments and not twin._moments
+        assert [field.name for field in dataclasses.fields(state)] == names
+        assert repr(state) == repr(twin)
+        assert "_moments" not in repr(state)
+        assert state == state and state != twin
+        assert hash(state) == object.__hash__(state)
+
+    @pytest.mark.parametrize(
+        "kind, memo, counts",
+        [
+            ("random", True, (8, 17)),
+            ("random", False, (20, 42)),
+            ("depolarized", True, (4, 9)),
+            ("depolarized", False, (14, 30)),
+        ],
+    )
+    def test_noisy_operation_reads_each_moment_once(self, kind, memo, counts, monkeypatch):
+        # band gathers and signed sums of one n = 10 noisy-qubit benchmark
+        # operation; without the memo every call reads the state again
+        if kind == "random":
+            state = random_density_matrix(10, np.random.default_rng(3), 8)
+        else:
+            state = depolarize_global(ghz(10), 0.6)
+        want = _noisy_operation(_fresh(state), kind)
+        calls = {"_band": 0, "_phase_signs": 0}
+        for name in calls:
+            def counted(*args, _inner=getattr(qubits, name), _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(qubits, name, counted)
+        if not memo:
+            monkeypatch.setattr(qubits, "_MOMENT_MEMO_ENTRIES", 0)
+        got = _noisy_operation(state, kind)
+        assert (calls["_band"], calls["_phase_signs"]) == counts
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 _KERNEL_CACHES = (qubits._outcome_pattern, qubits._flip_kernel, qubits._gate_stack)
