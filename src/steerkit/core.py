@@ -33,14 +33,19 @@ TWO_OBSERVABLE_CRITERIA = frozenset(
 )
 
 
+def as_integer(value, requirement: str, minimum: float = -math.inf) -> int:
+    """value as a Python int if it is an integer but a bool (numpy ints pass)
+    and >= minimum; a float, a string or True raises ValueError(requirement)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{requirement}, got {value!r}")
+    return int(value)
+
+
 def as_site(site) -> int:
-    """A site (or mode) index as a Python int: any integer but a bool, so
-    that a float, a string or True is refused instead of truncated."""
+    """A site (or mode) index as a Python int (see as_integer)."""
     if type(site) is int:  # the common case, without the slower ABC check
         return site
-    if isinstance(site, bool) or not isinstance(site, numbers.Integral):
-        raise ValueError(f"sites must be integers, got {site!r}")
-    return int(site)
+    return as_integer(site, "sites must be integers")
 
 
 @dataclass(frozen=True)

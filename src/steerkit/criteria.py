@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence, Union
@@ -17,6 +16,7 @@ from .core import (
     CriterionId,
     SitePartition,
     SteeringValue,
+    as_integer,
     as_site,
 )
 from .gaussian import GaussianState
@@ -229,23 +229,21 @@ class CvScanConfig:
     """Homodyne-angle grid per measured mode; gains are always optimal.
 
     A subset of j modes tries the n_angles ** j plans on the grid
-    k * pi / n_angles, as one walk of rank-one Schur updates in which plans
-    that share leading angles share their work (gaussian._grid_variances).
-    max_combinations caps n_angles ** j per subset, checked before any work:
-    the largest admitted grids take well under a second and hold under 32 MB
-    of temporaries.
-    """
+    k * pi / n_angles, all from one walk over the k-mode group that measures
+    or skips each mode (gaussian._grid_variances).  max_combinations caps its
+    (n_angles + 1) ** k - 1 plans, before any work.  The largest admitted
+    scans took under 0.1 s up to k = 13, and 2.6 s and 133 MiB, mostly the
+    2 ** k - 1 values returned, at k = 17 and one angle (see README)."""
 
     n_angles: int = 36
     max_combinations: int = 200_000
 
     def __post_init__(self) -> None:
-        if isinstance(self.n_angles, bool) or not isinstance(self.n_angles, numbers.Integral):
-            raise ValueError(f"n_angles must be an integer, got {self.n_angles!r}")
-        # a Python int, so that n_angles ** k cannot wrap around
-        object.__setattr__(self, "n_angles", int(self.n_angles))
-        if self.n_angles < 1:
-            raise ValueError("need at least one angle")
+        # Python ints, so that (n_angles + 1) ** k cannot wrap around
+        n_angles = as_integer(self.n_angles, "n_angles must be a positive integer", 1)
+        cap = as_integer(self.max_combinations, "max_combinations must be an integer >= 0", 0)
+        object.__setattr__(self, "n_angles", n_angles)
+        object.__setattr__(self, "max_combinations", cap)
 
 
 ScanConfig = Union[QubitScanConfig, CvScanConfig]
@@ -306,21 +304,26 @@ def _cv_product_scan(
 ) -> list[SteeringValue]:
     """Best product value over the homodyne-angle grid, with optimal gains,
     for the group and then each nonempty proper subset in collective_scan's
-    order; each value is the minimum the subset's grid walk found."""
+    order; each value is the minimum over the subset's plans in the group's walk."""
     modes = sorted(group)
-    n_combinations = config.n_angles ** len(modes)
-    if n_combinations > config.max_combinations:
+    n_plans = (config.n_angles + 1) ** len(modes) - 1
+    if n_plans > config.max_combinations:
         raise ValueError(
-            f"angle menu has {n_combinations} combinations; coarsen the grid "
-            f"or raise max_combinations"
+            f"angle grid has {n_plans} plans over all subsets, more than "
+            f"max_combinations = {config.max_combinations}; coarsen the grid or shrink the group"
         )
     n = state.n_modes
     targets = [gaussian.x_quadrature(n, target_mode), gaussian.p_quadrature(n, target_mode)]
+    best = gaussian._grid_variances(state, targets, modes, config.n_angles)
+    # fold each mode's axis, last mode first, into (min over its angles, skipped)
+    for _ in modes:
+        best = np.stack([best[..., :-1].min(axis=-1), best[..., -1]], axis=1)
+    best = best.reshape(len(targets), -1)
     subsets = [modes] + [s for size in range(1, len(modes)) for s in combinations(modes, size)]
     out = []
     for subset in subsets:
-        variances = gaussian._grid_variances(state, targets, subset, config.n_angles)
-        out.append(gaussian._product_value(*variances.min(axis=1), frozenset(subset), target_mode))
+        skipped = sum(1 << (len(modes) - 1 - i) for i, m in enumerate(modes) if m not in subset)
+        out.append(gaussian._product_value(*best[:, skipped], frozenset(subset), target_mode))
     return out
 
 

@@ -356,16 +356,17 @@ def _conditional_variances(
 def _grid_variances(
     state: GaussianState, targets: Sequence[QuadratureCombo], modes: Sequence[int], n_angles: int
 ) -> np.ndarray:
-    """_conditional_variances of each target for every plan on the angle grid
-    k*pi/n_angles, as a (len(targets), n_angles ** len(modes)) array with the
-    plans in itertools.product order over the modes, first mode most
-    significant.
+    """_conditional_variances of each target for every plan of every subset of
+    the modes on the angle grid k*pi/n_angles, as a (len(targets),
+    n_angles + 1, ..., n_angles + 1) array, one axis per mode, whose last index
+    skips the mode: a subset's plans sit there on every other mode's axis.
 
     The modes are measured one per level.  Homodyning direction v of a mode
     conditions the covariance S of the quadratures still in play by the
     rank-one Schur update S - u u^T / s, with u = S[:, mode] v and
     s = v^T S[mode, mode] v, so plans that share leading angles share that
-    work; the last level computes only the targets' variances.
+    work; the last level computes only the targets' variances.  The skip is
+    v = 0: its s = 0 falls under PINV_CUTOFF, so S passes on bit for bit.
     """
     for mode in modes:
         _check_mode(state.n_modes, mode)
@@ -375,7 +376,7 @@ def _grid_variances(
     # one covariance per measured prefix, the next mode's x and p rows first
     cov = (rows @ state.cov @ rows.T)[None]
     angles = np.arange(n_angles) * math.pi / n_angles
-    cos, sin = np.cos(angles), np.sin(angles)
+    cos, sin = np.append(np.cos(angles), 0.0), np.append(np.sin(angles), 0.0)
     for level in range(len(modes)):
         u = cov[:, None, 0] * cos[:, None]
         u += cov[:, None, 1] * sin[:, None]
@@ -389,7 +390,8 @@ def _grid_variances(
             np.subtract(cov[:, None, 2:, 2:], update, out=update)
             cov = update.reshape(-1, *update.shape[2:])
     variances = np.diagonal(cov, axis1=1, axis2=2)[:, None, 2:] - rest**2 * inverse[..., None]
-    return np.maximum(variances.reshape(-1, len(targets)).T, 0.0)
+    shape = (len(targets),) + cos.shape * len(modes)
+    return np.maximum(np.moveaxis(variances, -1, 0), 0.0).reshape(shape)
 
 
 def optimal_conditional_variance(

@@ -4,14 +4,13 @@ threshold searches, and finite-shot experiment emulation."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from . import criteria, gaussian, qubits
-from .core import STEERED_BY_COMPLEMENT, CriterionId, SitePartition
+from .core import STEERED_BY_COMPLEMENT, CriterionId, SitePartition, as_integer
 from .criteria import (
     CollectiveSteeringReport,
     MonogamyResult,
@@ -338,8 +337,8 @@ def simulate_shots(
     Deterministic given (seed, shots): the counter-based generator yields the
     same stream on every platform.
     """
-    if shots < 2:
-        raise ValueError(f"need at least 2 shots, got {shots}")
+    shots = as_integer(shots, "shots must be an integer of at least 2", 2)
+    seed = as_integer(seed, "seed must be a non-negative integer", 0)
     rng = np.random.Generator(np.random.Philox(seed))
     if isinstance(plan, SpinSumShotPlan):
         n = qubits.state_qubits(state)
@@ -347,11 +346,6 @@ def simulate_shots(
         estimate = 0.0
         error_sq = 0.0
         for label, predictor in (("X", plan.predictor_x), ("Y", plan.predictor_y)):
-            # the size and overlap checks keep their messages; a predictor
-            # that passes them is then held to the steering group
-            qubits._check_n_sites((predictor,), n)
-            if plan.partition.target_site in predictor.support:
-                raise ValueError("supports overlap")
             masks = qubits._spin_term_masks(n, plan.partition, label, predictor, True)
             moments = qubits._mask_expectations(state, masks)
             s2, se = _sample_difference_variance(*moments, shots, rng)
@@ -389,12 +383,8 @@ class SweepConfig:
             raise ValueError("grid must be non-empty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("grid must be strictly increasing")
-        if (
-            isinstance(self.seed, bool)
-            or not isinstance(self.seed, numbers.Integral)
-            or self.seed < 0
-        ):
-            raise ValueError("seed must be a non-negative integer")
+        seed = as_integer(self.seed, "seed must be a non-negative integer", 0)
+        object.__setattr__(self, "seed", seed)
 
 
 def run_sweep(config: SweepConfig) -> tuple[dict, ...]:

@@ -248,7 +248,8 @@ class TestSpinSumErrors:
         with pytest.raises(ValueError, match="^supports overlap$"):
             qubits.variance_of_difference(state, target, bad)
         plan = scenarios.SpinSumShotPlan(part, bad, px)
-        with pytest.raises(ValueError, match="^supports overlap$"):
+        outside = r"^predictor acts outside the steering group at sites \[3\]$"
+        with pytest.raises(ValueError, match=outside):
             scenarios.simulate_shots(state, plan, 10)
 
     @pytest.mark.parametrize("model", _MODELS)
@@ -485,6 +486,39 @@ class TestCollectiveScan:
         with pytest.raises(ValueError):
             collective_scan(cv_ghz(1.0), 1, {2, 3}, config)
 
+    @pytest.mark.parametrize(
+        "n_modes, n_angles, n_plans, admitted",
+        # 58 ** 3 fits the default cap, but not with the two- and one-mode
+        # subsets; an 18-mode group has 2 ** 18 - 1 subsets at one angle
+        [(4, 58, 59**3 - 1, (4, 57)), (19, 1, 2**18 - 1, (18, 1))],
+    )
+    def test_cv_cap_counts_every_subset_before_the_walk(
+        self, monkeypatch, n_modes, n_angles, n_plans, admitted
+    ):
+        def walked(*args, **kwargs):
+            raise AssertionError("the scan walked the grid")
+
+        monkeypatch.setattr(gaussian, "_grid_variances", walked)
+        with pytest.raises(ValueError, match=f"has {n_plans} plans over all subsets"):
+            collective_scan(vacuum(n_modes), n_modes, range(1, n_modes), CvScanConfig(n_angles))
+        n_modes, n_angles = admitted
+        with pytest.raises(AssertionError, match="walked"):
+            collective_scan(vacuum(n_modes), n_modes, range(1, n_modes), CvScanConfig(n_angles))
+
+    def test_cv_scan_walks_the_grid_once(self, monkeypatch):
+        calls = []
+        walk = gaussian._grid_variances
+
+        def counted(*args):
+            calls.append(args[2])
+            return walk(*args)
+
+        monkeypatch.setattr(gaussian, "_grid_variances", counted)
+        state = gaussian.random_pure_gaussian(5, np.random.default_rng(21))
+        report = collective_scan(state, 2, {1, 3, 4, 5}, CvScanConfig(6))
+        assert len(report.subsets) == 14
+        assert calls == [[1, 3, 4, 5]]
+
     def test_qubit_scan_cost_counts_every_subset_and_state_entry(self):
         # a depolarized pure state is one component plus noise: 2^4 entries
         for state, entries in ((ghz(4), 16), (depolarize_global(ghz(4), 0.5), 16)):
@@ -522,6 +556,15 @@ class TestCollectiveScan:
     def test_cv_config_rejects_non_integer_angle_count(self, n_angles):
         with pytest.raises(ValueError, match="n_angles"):
             CvScanConfig(n_angles=n_angles)
+
+    @pytest.mark.parametrize("cap", [None, "10", True, 2.5, -3])
+    def test_cv_config_rejects_a_cap_that_is_not_a_count(self, cap):
+        with pytest.raises(ValueError, match="max_combinations"):
+            CvScanConfig(max_combinations=cap)
+
+    def test_cv_config_cap_accepts_numpy_integer(self):
+        config = CvScanConfig(max_combinations=np.int32(10))
+        assert type(config.max_combinations) is int and config.max_combinations == 10
 
     def test_cv_config_accepts_numpy_integer(self):
         config = CvScanConfig(n_angles=np.int64(10**6), max_combinations=10)
@@ -636,6 +679,7 @@ class TestScanMatchesBruteForce:
             targets = [quadrature(3, target) for quadrature in (x_quadrature, p_quadrature)]
             for subset, value in _subset_values(report).items():
                 walk = gaussian._grid_variances(state, targets, sorted(subset), n_angles)
+                walk = walk[(slice(None),) + (slice(-1),) * len(subset)].reshape(2, -1)
                 assert value == math.sqrt(walk[0].min()) * math.sqrt(walk[1].min())
                 want = _brute_force_cv_product(state, subset, target, n_angles)
                 assert abs(value - want) <= 1e-12, (trial, sorted(subset))

@@ -575,9 +575,18 @@ class TestGridVariances:
             ),
         ]
         got = gaussian._grid_variances(state, targets, modes, n_angles)
-        want = gaussian._conditional_variances(state, targets, _plan_stack(n, modes, n_angles))
-        assert got.shape == (3, n_angles ** n_measured)
-        assert np.abs(got - want).max() <= 1e-12
+        assert got.shape == (3,) + (n_angles + 1,) * n_measured
+        # a subset's plans sit at the skip index n_angles on the other modes'
+        # axes, bit-equal to the plans that measure every mode of its own walk
+        for size in range(1, n_measured + 1):
+            for subset in combinations(modes, size):
+                own = gaussian._grid_variances(state, targets, subset, n_angles)
+                own = own[(slice(None),) + (slice(-1),) * size]
+                plans = (slice(None),) + tuple(slice(-1) if m in subset else -1 for m in modes)
+                assert got[plans].tobytes() == own.tobytes()
+                stack = _plan_stack(n, subset, n_angles)
+                want = gaussian._conditional_variances(state, targets, stack)
+                assert np.abs(own.reshape(3, -1) - want).max() <= 1e-12
 
     def test_refuses_to_measure_a_target_mode(self):
         state = random_pure_gaussian(3, np.random.default_rng(5))
@@ -682,6 +691,33 @@ class TestMonogamyTheorems:
             singles = [v for v in scan.subsets if len(v.partition.steering_group) == 1]
             result = monogamy_check(singles[0], singles[1])
             assert result.satisfied, f"trial {trial}: product {result.product}"
+
+
+class TestLatticeMonogamy:
+    """Two disjoint subsets of one CV scan's group cannot both infer the
+    target's x and p beyond the uncertainty bound: the product of their
+    values is at least 1, whatever plans the one grid walk gave each."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_modes=st.integers(min_value=3, max_value=5),
+        lossy=st.booleans(),
+        n_angles=st.integers(min_value=1, max_value=12),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_disjoint_subsets_of_one_scan(self, seed, n_modes, lossy, n_angles):
+        rng = np.random.default_rng(seed)
+        state = random_pure_gaussian(n_modes, rng, max_squeezing=float(rng.uniform(0.2, 1.5)))
+        if lossy:
+            mode = int(rng.integers(1, n_modes + 1))
+            state = loss_channel(state, mode, float(rng.uniform(0.2, 0.9)))
+        target = int(rng.integers(1, n_modes + 1))
+        group = [m for m in range(1, n_modes + 1) if m != target]
+        report = collective_scan(state, target, group, CvScanConfig(n_angles))
+        for a, b in combinations((report.full_group, *report.subsets), 2):
+            if not a.partition.steering_group & b.partition.steering_group:
+                result = monogamy_check(a, b)
+                assert result.satisfied, (sorted(a.partition.steering_group), result.product)
 
 
 class TestSteeringImpliesEntanglement:

@@ -189,6 +189,23 @@ class TestSimulateShots:
         with pytest.raises(ValueError):
             simulate_shots(ghz(3), self._spin_plan(), 1, seed=0)
 
+    @pytest.mark.parametrize("shots", [3.9, True, "10", None])
+    def test_rejects_shot_counts_that_are_not_integers(self, shots):
+        combo = quadrature_combo(3, p={1: 1.0})
+        for state, plan in ((ghz(3), self._spin_plan()), (cv_ghz(1.0), ComboShotPlan(combo))):
+            with pytest.raises(ValueError, match="shots must be an integer"):
+                simulate_shots(state, plan, shots, seed=0)
+
+    @pytest.mark.parametrize("seed", [True, 2.5, "3", -1])
+    def test_rejects_seeds_that_are_not_non_negative_integers(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            simulate_shots(ghz(3), self._spin_plan(), 100, seed=seed)
+
+    def test_accepts_numpy_integers(self):
+        result = simulate_shots(ghz(3), self._spin_plan(), np.int64(100), seed=np.uint8(3))
+        assert type(result.shots) is int and type(result.seed) is int
+        assert result == simulate_shots(ghz(3), self._spin_plan(), 100, seed=3)
+
     def test_gaussian_plan_needs_gaussian_state(self):
         combo = quadrature_combo(3, p={1: 1.0})
         with pytest.raises(ValueError):
@@ -211,6 +228,10 @@ class TestSweeps:
             SweepConfig("qubit", "noise-genuine-sum", "p", (0.5, 0.5))
         with pytest.raises(ValueError):
             SweepConfig("abacus", "noise-genuine-sum", "p", (0.1,))
+
+    def test_config_seed_is_a_python_int(self):
+        config = SweepConfig("qubit", "noise-genuine-sum", "p", (0.1,), seed=np.int64(4))
+        assert type(config.seed) is int and config.seed == 4
 
     def test_unknown_scenario(self):
         config = SweepConfig("qubit", "unknown", "p", (0.1, 0.2))
