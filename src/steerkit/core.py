@@ -41,11 +41,14 @@ def as_integer(value, requirement: str, minimum: float = -math.inf) -> int:
     return int(value)
 
 
-def as_site(site) -> int:
-    """A site (or mode) index as a Python int (see as_integer)."""
-    if type(site) is int:  # the common case, without the slower ABC check
-        return site
-    return as_integer(site, "sites must be integers")
+def as_site(site, n: int | None = None) -> int:
+    """A site (or mode) index as a Python int (see as_integer) in 1..n, or
+    at least 1 when n is None; anything else raises ValueError."""
+    if type(site) is not int:  # the common case skips the slower ABC check
+        site = as_integer(site, "sites must be integers")
+    if site < 1 or (n is not None and site > n):
+        raise ValueError(f"site {site} outside 1..{'' if n is None else n}")
+    return site
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,6 @@ class SitePartition:
         object.__setattr__(self, "target_site", as_site(self.target_site))
         if not group:
             raise ValueError("steering group must be non-empty")
-        if min(group) < 1 or self.target_site < 1:
-            raise ValueError("sites are 1-based positive integers")
         if self.target_site in group:
             raise ValueError("target site must not belong to the steering group")
 

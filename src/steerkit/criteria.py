@@ -17,7 +17,6 @@ from .core import (
     SitePartition,
     SteeringValue,
     as_integer,
-    as_site,
 )
 from .gaussian import GaussianState
 from .qubits import DetectionModel, PauliString
@@ -274,56 +273,63 @@ def _first_best(variances: np.ndarray, menu: Sequence, width: int) -> list:
     return [[menu[i] for i in row] for row in zip(*np.unravel_index(rows, (len(menu),) * width))]
 
 
+def _subset_partitions(partition: SitePartition) -> list[SitePartition]:
+    """The partition, then each nonempty proper subset of its group steering
+    the same target, by size in itertools.combinations order of the sites."""
+    sites = sorted(partition.steering_group)
+    return [partition] + [
+        SitePartition(frozenset(subset), partition.target_site)
+        for size in range(1, len(sites))
+        for subset in combinations(sites, size)
+    ]
+
+
 def _spin_two_obs_scan(
-    state: qubits.State,
-    group: frozenset[int],
-    target_site: int,
-    config: QubitScanConfig,
+    state: qubits.State, partition: SitePartition, config: QubitScanConfig
 ) -> list[SteeringValue]:
-    """Best two-observable spin value over the settings menu for the group
-    and then each nonempty proper subset in collective_scan's order; each
-    inference variance is minimized independently, and the values come from
-    optimal_inference_variance at the first argmin."""
+    """Best two-observable spin value over the settings menu for each of
+    _subset_partitions; each inference variance is minimized independently,
+    and the values come from optimal_inference_variance at the first argmin."""
     menu = config.settings_menu
     n = qubits.state_qubits(state)
-    targets = [PauliString.single(n, target_site, label) for label in "XY"]
-    variances = qubits._subset_variances(state, SitePartition(group, target_site), targets, menu)
+    targets = [PauliString.single(n, partition.target_site, label) for label in "XY"]
+    variances = qubits._subset_variances(state, partition, targets, menu)
     out = []
-    for subset, subset_variances in variances.items():
-        partition = SitePartition(frozenset(subset), target_site)
+    for part in _subset_partitions(partition):
+        subset = tuple(sorted(part.steering_group))
         best_x, best_y = (
-            qubits.optimal_inference_variance(state, partition, target, dict(zip(subset, best)))
-            for target, best in zip(targets, _first_best(subset_variances, menu, len(subset)))
+            qubits.optimal_inference_variance(state, part, target, dict(zip(subset, best)))
+            for target, best in zip(targets, _first_best(variances[subset], menu, len(subset)))
         )
-        out.append(SteeringValue.of(CriterionId.SPIN_SUM_2OBS, partition, best_x + best_y, 1.0))
+        out.append(SteeringValue.of(CriterionId.SPIN_SUM_2OBS, part, best_x + best_y, 1.0))
     return out
 
 
 def _cv_product_scan(
-    state: GaussianState, group: frozenset[int], target_mode: int, config: CvScanConfig
+    state: GaussianState, partition: SitePartition, config: CvScanConfig
 ) -> list[SteeringValue]:
     """Best product value over the homodyne-angle grid, with optimal gains,
-    for the group and then each nonempty proper subset in collective_scan's
-    order; each value is the minimum over the subset's plans in the group's walk."""
-    modes = sorted(group)
+    for each of _subset_partitions; each value is the minimum over the
+    subset's plans in the full group's walk."""
+    modes = sorted(partition.steering_group)
     n_plans = (config.n_angles + 1) ** len(modes) - 1
     if n_plans > config.max_combinations:
         raise ValueError(
             f"angle grid has {n_plans} plans over all subsets, more than "
             f"max_combinations = {config.max_combinations}; coarsen the grid or shrink the group"
         )
-    n = state.n_modes
+    n, target_mode = state.n_modes, partition.target_site
     targets = [gaussian.x_quadrature(n, target_mode), gaussian.p_quadrature(n, target_mode)]
     best = gaussian._grid_variances(state, targets, modes, config.n_angles)
     # fold each mode's axis, last mode first, into (min over its angles, skipped)
     for _ in modes:
         best = np.stack([best[..., :-1].min(axis=-1), best[..., -1]], axis=1)
     best = best.reshape(len(targets), -1)
-    subsets = [modes] + [s for size in range(1, len(modes)) for s in combinations(modes, size)]
     out = []
-    for subset in subsets:
-        skipped = sum(1 << (len(modes) - 1 - i) for i, m in enumerate(modes) if m not in subset)
-        out.append(gaussian._product_value(*best[:, skipped], frozenset(subset), target_mode))
+    for part in _subset_partitions(partition):
+        group = part.steering_group
+        skipped = sum(1 << (len(modes) - 1 - i) for i, m in enumerate(modes) if m not in group)
+        out.append(gaussian._product_value(*best[:, skipped], part))
     return out
 
 
@@ -351,24 +357,19 @@ def collective_scan(
     Subsets are evaluated with the best settings in the configured menu, so
     a subset failure means no strategy in the menu steers the target.
     """
-    group = frozenset(map(as_site, full_group))
-    target_site = as_site(target_site)
-    if not group:
-        raise ValueError("full group must be non-empty")
-    if target_site in group:
-        raise ValueError("target site must not belong to the full group")
+    partition = SitePartition(frozenset(full_group), target_site)
     config = _default_config(state, config)
     if isinstance(config, QubitScanConfig):
-        cost = _qubit_scan_cost(state, len(group), len(config.settings_menu))
+        cost = _qubit_scan_cost(state, len(partition.steering_group), len(config.settings_menu))
         if cost > QUBIT_SCAN_BUDGET:
             raise ValueError(
                 f"qubit scan would rotate {cost} state entries, more than "
                 f"QUBIT_SCAN_BUDGET = {QUBIT_SCAN_BUDGET}; shrink the group, the menu "
                 f"or the state"
             )
-        full_value, *subsets = _spin_two_obs_scan(state, group, target_site, config)
+        full_value, *subsets = _spin_two_obs_scan(state, partition, config)
     else:
-        full_value, *subsets = _cv_product_scan(state, group, target_site, config)
+        full_value, *subsets = _cv_product_scan(state, partition, config)
     return CollectiveSteeringReport(
         full_value, tuple(subsets), _only_full_group_steers(full_value, subsets)
     )

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import CriterionId, SitePartition, SteeringValue, freeze
+from .core import CriterionId, SitePartition, SteeringValue, as_integer, as_site, freeze
 
 # Eigenvalues of the measured covariance block below this are treated as zero
 # when inverting; infinite-squeezing limits produce rank-deficient blocks.
@@ -79,14 +79,8 @@ class GaussianState:
 
 def vacuum(n_modes: int) -> GaussianState:
     """n-mode vacuum: zero mean, identity covariance."""
-    if n_modes < 1:
-        raise ValueError(f"need at least one mode, got {n_modes}")
+    n_modes = as_integer(n_modes, "n_modes must be a positive integer", 1)
     return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
-
-
-def _check_mode(n_modes: int, mode: int) -> None:
-    if not 1 <= mode <= n_modes:
-        raise ValueError(f"mode {mode} outside 1..{n_modes}")
 
 
 def _apply_gates(state: GaussianState, transforms: Sequence[np.ndarray]) -> GaussianState:
@@ -108,7 +102,7 @@ def apply_symplectic(state: GaussianState, transform: np.ndarray) -> GaussianSta
 
 def squeeze_matrix(n_modes: int, mode: int, r: float, angle: float = 0.0) -> np.ndarray:
     """Single-mode squeezer: at angle 0, x shrinks by e^-r and p grows by e^r."""
-    _check_mode(n_modes, mode)
+    mode = as_site(mode, n_modes)
     c, s = math.cos(angle), math.sin(angle)
     rot = np.array([[c, -s], [s, c]])
     local = rot @ np.diag([math.exp(-r), math.exp(r)]) @ rot.T
@@ -122,8 +116,7 @@ def beamsplitter_matrix(n_modes: int, mode_i: int, mode_j: int, transmissivity: 
     """Beamsplitter acting identically on x and p:
     x_i' = sqrt(T) x_i + sqrt(1-T) x_j,  x_j' = sqrt(1-T) x_i - sqrt(T) x_j.
     """
-    _check_mode(n_modes, mode_i)
-    _check_mode(n_modes, mode_j)
+    mode_i, mode_j = as_site(mode_i, n_modes), as_site(mode_j, n_modes)
     if mode_i == mode_j:
         raise ValueError("beamsplitter needs two distinct modes")
     if not 0.0 <= transmissivity <= 1.0:
@@ -163,7 +156,7 @@ def loss_channel(state: GaussianState, mode: int, efficiency: float) -> Gaussian
     """Mix the mode with vacuum on a beamsplitter of the given transmissivity
     and trace the ancilla out.
     """
-    _check_mode(state.n_modes, mode)
+    mode = as_site(mode, state.n_modes)
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError(f"efficiency must lie in [0, 1], got {efficiency}")
     root = math.sqrt(efficiency)
@@ -251,8 +244,7 @@ def quadrature_combo(
     coeff = np.zeros(2 * n_modes)
     for mapping, offset in ((x, 0), (p, 1)):
         for mode, value in (mapping or {}).items():
-            _check_mode(n_modes, mode)
-            coeff[2 * (mode - 1) + offset] = value
+            coeff[2 * (as_site(mode, n_modes) - 1) + offset] = value
     return QuadratureCombo(coeff)
 
 
@@ -271,14 +263,13 @@ class HomodynePlan:
     angles: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple(sorted((int(m), float(a)) for m, a in self.angles))
+        pairs = tuple(sorted((as_site(m), float(a)) for m, a in self.angles))
         if not pairs:
             raise ValueError("plan must measure at least one mode")
-        modes = [m for m, _ in pairs]
-        if len(set(modes)) != len(modes):
+        if len({m for m, _ in pairs}) != len(pairs):
             raise ValueError("plan measures a mode twice")
-        if modes[0] < 1:
-            raise ValueError("modes are 1-based positive integers")
+        if not all(math.isfinite(a) for _, a in pairs):
+            raise ValueError(f"plan angles must be finite, got {pairs}")
         object.__setattr__(self, "angles", pairs)
 
     @classmethod
@@ -301,9 +292,9 @@ class HomodynePlan:
         """Measured combinations as rows of a (k, 2n) matrix."""
         out = np.zeros((len(self.angles), 2 * n_modes))
         for row, (mode, angle) in enumerate(self.angles):
-            _check_mode(n_modes, mode)
-            out[row, 2 * (mode - 1)] = math.cos(angle)
-            out[row, 2 * (mode - 1) + 1] = math.sin(angle)
+            k = 2 * (as_site(mode, n_modes) - 1)
+            out[row, k] = math.cos(angle)
+            out[row, k + 1] = math.sin(angle)
         return out
 
 
@@ -368,8 +359,7 @@ def _grid_variances(
     work; the last level computes only the targets' variances.  The skip is
     v = 0: its s = 0 falls under PINV_CUTOFF, so S passes on bit for bit.
     """
-    for mode in modes:
-        _check_mode(state.n_modes, mode)
+    modes = [as_site(mode, state.n_modes) for mode in modes]
     rows = _target_rows(state, targets, modes)
     quadratures = [2 * (mode - 1) + q for mode in modes for q in (0, 1)]
     rows = np.concatenate([np.eye(2 * state.n_modes)[quadratures], rows])
@@ -417,18 +407,18 @@ def steering_product_cv(
     Steering is confirmed when the product drops below the uncertainty
     bound of 1.
     """
-    _check_mode(state.n_modes, target_mode)
     n = state.n_modes
+    target_mode = as_site(target_mode, n)
     var_x = optimal_conditional_variance(state, x_quadrature(n, target_mode), plan_x)
     var_p = optimal_conditional_variance(state, p_quadrature(n, target_mode), plan_p)
     group = frozenset(plan_x.modes) | frozenset(plan_p.modes)
-    return _product_value(var_x, var_p, group, target_mode)
+    return _product_value(var_x, var_p, SitePartition(group, target_mode))
 
 
-def _product_value(var_x: float, var_p: float, group: frozenset[int], target: int) -> SteeringValue:
-    """sqrt(var_x) * sqrt(var_p) of the target mode steered by the group, against 1."""
+def _product_value(var_x: float, var_p: float, partition: SitePartition) -> SteeringValue:
+    """sqrt(var_x) * sqrt(var_p) of the partition's target mode, against 1."""
     value = math.sqrt(var_x) * math.sqrt(var_p)
-    return SteeringValue.of(CriterionId.CV_PRODUCT, SitePartition(group, target), value, 1.0)
+    return SteeringValue.of(CriterionId.CV_PRODUCT, partition, value, 1.0)
 
 
 def fixed_combo_steering(state: GaussianState, j: int, k: int, m: int) -> SteeringValue:
@@ -438,10 +428,9 @@ def fixed_combo_steering(state: GaussianState, j: int, k: int, m: int) -> Steeri
     product criterion.
     """
     n = state.n_modes
+    j, k, m = (as_site(mode, n) for mode in (j, k, m))
     if len({j, k, m}) != 3:
         raise ValueError("modes j, k, m must be distinct")
-    for mode in (j, k, m):
-        _check_mode(n, mode)
     var_x = combo_variance(state, quadrature_combo(n, x={j: 1.0, k: -1.0}))
     var_p = combo_variance(state, quadrature_combo(n, p={j: 1.0, k: 1.0, m: 1.0}))
     value = math.sqrt(var_x) * math.sqrt(var_p)
@@ -466,8 +455,7 @@ def random_pure_gaussian(
     n_modes: int, rng: np.random.Generator, max_squeezing: float = 1.0
 ) -> GaussianState:
     """Random pure state: passive layer, squeezers, passive layer."""
-    if n_modes < 1:
-        raise ValueError(f"need at least one mode, got {n_modes}")
+    n_modes = as_integer(n_modes, "n_modes must be a positive integer", 1)
     left = _haar_orthosymplectic(n_modes, rng)
     right = _haar_orthosymplectic(n_modes, rng)
     rs = rng.uniform(-max_squeezing, max_squeezing, size=n_modes)

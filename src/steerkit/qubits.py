@@ -17,7 +17,7 @@ from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .core import SitePartition, freeze
+from .core import SitePartition, as_integer, as_site, freeze
 
 MAX_QUBITS = 14
 
@@ -44,9 +44,15 @@ _TO_Z_BASIS = {
 }
 
 
-def _check_n_qubits(n: int) -> None:
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
+def _check_n_qubits(n: int) -> int:
+    """n as a Python int (see core.as_integer) if it lies in 1..MAX_QUBITS."""
+    if type(n) is int and 1 <= n <= MAX_QUBITS:  # every state constructor's case
+        return n
+    requirement = f"qubit count must be an integer in 1..{MAX_QUBITS}"
+    n = as_integer(n, requirement, 1)
+    if n > MAX_QUBITS:
+        raise ValueError(f"{requirement}, got {n}")
+    return n
 
 
 # Dense complex arrays (a matrix handed to DensityMatrix, `.matrix`, the
@@ -255,9 +261,7 @@ class PauliString:
         """Identity everywhere except at the given 1-based sites."""
         factors = ["I"] * n_qubits
         for site, label in labels.items():
-            if not 1 <= site <= n_qubits:
-                raise ValueError(f"site {site} outside 1..{n_qubits}")
-            factors[site - 1] = label
+            factors[as_site(site, n_qubits) - 1] = label
         return cls(tuple(factors), sign)
 
     @classmethod
@@ -437,9 +441,9 @@ def variance_of_difference(
 
 def ghz(n: int) -> PureState:
     """The n-qubit state (|0...0> - |1...1>)/sqrt(2)."""
+    n = _check_n_qubits(n)
     if n < 2:
         raise ValueError(f"ghz needs at least 2 qubits, got {n}")
-    _check_n_qubits(n)
     amp = np.zeros(1 << n, dtype=complex)
     amp[0] = 1.0 / math.sqrt(2.0)
     amp[-1] = -1.0 / math.sqrt(2.0)
@@ -454,11 +458,10 @@ def ghz_predictor_for_target(n: int, target_site: int, target_component: str) ->
     X/Y factors with an even number of Y factors fixes the state up to a sign,
     and that sign is absorbed into the predictor.
     """
+    n = _check_n_qubits(n)
     if n < 2:
         raise ValueError(f"ghz predictors need at least 2 qubits, got {n}")
-    _check_n_qubits(n)
-    if not 1 <= target_site <= n:
-        raise ValueError(f"target site {target_site} outside 1..{n}")
+    target_site = as_site(target_site, n)
     component = target_component.lower()
     if component not in ("x", "y"):
         raise ValueError(f"target component must be 'x' or 'y', got {target_component!r}")
@@ -488,14 +491,10 @@ def ghz_predictor(n: int, target_component: str) -> PauliString:
 
 def ghz_z_predictor(n: int, site: int | None = None) -> PauliString:
     """sigma_z of any single other site predicts sigma_z of site n exactly on ghz(n)."""
+    n = _check_n_qubits(n)
     if n < 2:
         raise ValueError(f"ghz predictors need at least 2 qubits, got {n}")
-    _check_n_qubits(n)
-    if site is None:
-        site = n - 1
-    if not 1 <= site <= n - 1:
-        raise ValueError(f"predictor site {site} outside 1..{n - 1}")
-    return PauliString.single(n, site, "Z")
+    return PauliString.single(n, n - 1 if site is None else as_site(site, n - 1), "Z")
 
 
 def depolarize_global(state: State, p: float) -> DensityMatrix:
@@ -537,8 +536,7 @@ class DetectionModel:
 
 
 def check_partition(partition: SitePartition, n_qubits: int) -> None:
-    if max(partition.sites) > n_qubits:
-        raise ValueError(f"partition uses sites outside 1..{n_qubits}")
+    as_site(max(partition.sites), n_qubits)
 
 
 def _require_target_support(target: PauliString, partition: SitePartition) -> None:
@@ -840,7 +838,7 @@ def optimal_inference_variance(
 
 def random_pure_state(n: int, rng: np.random.Generator) -> PureState:
     """Haar-random pure state on n qubits."""
-    _check_n_qubits(n)
+    n = _check_n_qubits(n)
     vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return PureState(vec / np.linalg.norm(vec))
 
@@ -850,12 +848,11 @@ def random_density_matrix(
 ) -> DensityMatrix:
     """Random mixed state: normalized G G^dag with Ginibre-distributed G, kept
     as the ensemble of G's normalized columns weighted by their squared norms."""
-    _check_n_qubits(n)
-    dim = 1 << n
-    if rank is None:
-        rank = dim
-    if not 1 <= rank <= dim:
-        raise ValueError(f"rank must lie in 1..{dim}, got {rank}")
+    dim = 1 << _check_n_qubits(n)
+    requirement = f"rank must be an integer in 1..{dim}"
+    rank = dim if rank is None else as_integer(rank, requirement, 1)
+    if rank > dim:
+        raise ValueError(f"{requirement}, got {rank}")
     _check_dense_bytes((rank, dim))
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     norms = np.linalg.norm(g, axis=0)

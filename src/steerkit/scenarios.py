@@ -71,6 +71,7 @@ def find_threshold(
     The predicate must differ at the two bracket ends; monotonicity inside
     the bracket is the caller's promise.
     """
+    max_iterations = as_integer(max_iterations, "max_iterations must be a non-negative integer", 0)
     low, high = float(bracket[0]), float(bracket[1])
     if not low < high:
         raise ValueError(f"bracket must satisfy low < high, got {bracket}")
@@ -253,13 +254,15 @@ def eavesdrop_sweep(r: float, eta_grid: Sequence[float]) -> tuple[EavesdropRecor
         HomodynePlan.x_on(4, 5), HomodynePlan.p_on(4, 5),
     )])
     targets = (gaussian.x_quadrature(5, 1), gaussian.p_quadrature(5, 1))
+    by_accomplices = SitePartition(frozenset({2, 3}), 1)
+    by_taps = SitePartition(frozenset({4, 5}), 1)
     records = []
     for eta in grid:
         (x_acc, _, x_tap, _), (_, p_acc, _, p_tap) = gaussian._conditional_variances(
             gaussian._tap(network, eta), targets, plans
         )
-        accomplices = gaussian._product_value(x_acc, p_acc, frozenset({2, 3}), 1)
-        taps = gaussian._product_value(x_tap, p_tap, frozenset({4, 5}), 1)
+        accomplices = gaussian._product_value(x_acc, p_acc, by_accomplices)
+        taps = gaussian._product_value(x_tap, p_tap, by_taps)
         product = monogamy_check(accomplices, taps)
         records.append(
             EavesdropRecord(
@@ -355,8 +358,8 @@ def simulate_shots(
     if isinstance(plan, ComboShotPlan):
         if not isinstance(state, GaussianState):
             raise ValueError("combination sampling needs a Gaussian state")
-        mean = float(plan.combo.coefficients @ state.mean)
         sigma = math.sqrt(gaussian.combo_variance(state, plan.combo))
+        mean = float(plan.combo.coefficients @ state.mean)
         draws = rng.normal(mean, sigma, size=shots)
         s2, se = _variance_statistics(draws, np.ones_like(draws))
         return ShotEstimate(s2, se, shots, seed)

@@ -257,6 +257,13 @@ class TestCombosAndPlans:
         with pytest.raises(ValueError):
             HomodynePlan(())
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_plan_rejects_angles_that_are_not_finite(self, angle):
+        with pytest.raises(ValueError, match="plan angles must be finite"):
+            HomodynePlan.of({2: angle})
+        with pytest.raises(ValueError, match="plan angles must be finite"):
+            HomodynePlan(((3, 0.0), (2, angle)))
+
     def test_plan_vectors_at_angles(self):
         plan = HomodynePlan.of({2: 0.0, 3: math.pi / 2.0})
         rows = plan.vectors(3)

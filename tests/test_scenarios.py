@@ -185,6 +185,11 @@ class TestSimulateShots:
         slope = np.polyfit(np.log(shots), np.log(errors), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.1)
 
+    def test_combination_of_the_wrong_size_is_refused_by_the_library(self):
+        plan = ComboShotPlan(quadrature_combo(2, p={1: 1.0}))
+        with pytest.raises(ValueError, match="combination and state disagree on the number of modes"):
+            simulate_shots(cv_ghz(1.0), plan, 100, seed=0)
+
     def test_rejects_too_few_shots(self):
         with pytest.raises(ValueError):
             simulate_shots(ghz(3), self._spin_plan(), 1, seed=0)

@@ -120,6 +120,22 @@ MUTATIONS = (
         "n_plans = config.n_angles ** len(modes)",
         ("tests/test_criteria.py::TestCollectiveScan::test_cv_cap_counts_every_subset_before_the_walk",),
     ),
+    Mutation(
+        "site-without-upper-bound",
+        "src/steerkit/core.py",
+        "if site < 1 or (n is not None and site > n):",
+        "if site < 1:",
+        ("tests/test_site_rule.py::test_site_rule_refuses",),
+    ),
+    Mutation(
+        "plan-without-finite-angles",
+        "src/steerkit/gaussian.py",
+        """        if not all(math.isfinite(a) for _, a in pairs):
+            raise ValueError(f"plan angles must be finite, got {pairs}")
+""",
+        "",
+        ("tests/test_gaussian.py::TestCombosAndPlans::test_plan_rejects_angles_that_are_not_finite",),
+    ),
 )
 
 
