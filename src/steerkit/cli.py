@@ -1,7 +1,8 @@
 """Command-line interface emitting JSON-lines or CSV reports.
 
 Exit codes: 0 = ran (whatever the physical verdict), 1 = internal error,
-2 = usage error.  Verdicts live in the report, not in the exit code.
+2 = usage error: a value that argparse or the library refuses, with the
+library's message on stderr.  Verdicts live in the report, not in the exit code.
 Identical invocations produce byte-identical stdout; the wall time goes to
 stderr as a comment line.
 """
@@ -101,23 +102,12 @@ def _parse_eta_grid(text: str) -> tuple[float, ...]:
     return tuple(min(start + k * step, stop) for k in range(count))
 
 
-def _detection_model(args) -> DetectionModel:
-    guess = args.guess if args.policy == "constant-guess" else None
-    try:
-        return DetectionModel(args.eta, args.policy, guess)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _cmd_ghz_qubit(args) -> tuple[list[dict], dict]:
-    if not 2 <= args.n <= qubits.MAX_QUBITS:
-        raise UsageError(f"--n must lie in 2..{qubits.MAX_QUBITS}, got {args.n}")
-    if not 0.0 <= args.noise_p <= 1.0:
-        raise UsageError(f"--noise-p must lie in [0, 1], got {args.noise_p}")
-    model = _detection_model(args)
     state: qubits.State = qubits.ghz(args.n)
-    if args.noise_p < 1.0:
+    if args.noise_p != 1.0:
         state = qubits.depolarize_global(state, args.noise_p)
+    guess = args.guess if args.policy == "constant-guess" else None
+    model = DetectionModel(args.eta, args.policy, guess)
     parameters = {
         "n": args.n,
         "noise_p": args.noise_p,
@@ -127,8 +117,6 @@ def _cmd_ghz_qubit(args) -> tuple[list[dict], dict]:
         "seed": args.seed,
     }
     if args.criterion == "genuine-sum":
-        if args.n != 3:
-            raise UsageError("--criterion genuine-sum needs --n 3")
         report = criteria.ghz3_genuine_report(state, model)
         records = [v.to_dict() for v in report.values]
         records.append(report.to_dict())
@@ -144,16 +132,7 @@ def _cmd_ghz_qubit(args) -> tuple[list[dict], dict]:
     return [value.to_dict()], parameters
 
 
-def _check_squeezing(r: float) -> None:
-    if not (math.isfinite(r) and r >= 0.0):
-        raise UsageError(f"--r must be finite and non-negative, got {r}")
-    if r > gaussian.MAX_GHZ_SQUEEZING:
-        limit = gaussian.MAX_GHZ_SQUEEZING
-        raise UsageError(f"--r must not exceed MAX_GHZ_SQUEEZING = {limit}, got {r}")
-
-
 def _cmd_ghz_cv(args) -> tuple[list[dict], dict]:
-    _check_squeezing(args.r)
     if not 1 <= args.target <= 3:
         raise UsageError(f"--target must lie in 1..3, got {args.target}")
     state = gaussian.cv_ghz(args.r)
@@ -180,7 +159,6 @@ def _cmd_ghz_cv(args) -> tuple[list[dict], dict]:
 
 
 def _cmd_eavesdrop(args) -> tuple[list[dict], dict]:
-    _check_squeezing(args.r)
     grid = _parse_eta_grid(args.eta_grid)
     records = [record.to_dict() for record in scenarios.eavesdrop_sweep(args.r, grid)]
     parameters = {"r": args.r, "eta_grid": args.eta_grid, "seed": args.seed}
@@ -188,10 +166,7 @@ def _cmd_eavesdrop(args) -> tuple[list[dict], dict]:
 
 
 def _cmd_threshold(args) -> tuple[list[dict], dict]:
-    try:
-        result = scenarios.run_threshold_scenario(args.scenario)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    result = scenarios.run_threshold_scenario(args.scenario)
     parameters = {"scenario": args.scenario, "seed": args.seed}
     return [result.to_dict()], parameters
 
@@ -211,7 +186,7 @@ def _cmd_sweep(args) -> tuple[list[dict], dict]:
     try:
         config = scenarios.SweepConfig(**raw)
         records = list(scenarios.run_sweep(config))
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise UsageError(str(exc)) from None
     parameters = {
         "backend": config.backend,
@@ -302,7 +277,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         records, parameters = args.handler(args)
-    except UsageError as exc:
+    except ValueError as exc:  # UsageError and every refusal of the library
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -36,6 +36,8 @@ TWO_OBSERVABLE_CRITERIA = frozenset(
 def as_integer(value, requirement: str, minimum: float = -math.inf) -> int:
     """value as a Python int if it is an integer but a bool (numpy ints pass)
     and >= minimum; a float, a string or True raises ValueError(requirement)."""
+    if type(value) is int and value >= minimum:  # the common case skips the ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{requirement}, got {value!r}")
     return int(value)

@@ -102,6 +102,7 @@ def apply_symplectic(state: GaussianState, transform: np.ndarray) -> GaussianSta
 
 def squeeze_matrix(n_modes: int, mode: int, r: float, angle: float = 0.0) -> np.ndarray:
     """Single-mode squeezer: at angle 0, x shrinks by e^-r and p grows by e^r."""
+    n_modes = as_integer(n_modes, "n_modes must be a positive integer", 1)
     mode = as_site(mode, n_modes)
     c, s = math.cos(angle), math.sin(angle)
     rot = np.array([[c, -s], [s, c]])
@@ -116,6 +117,7 @@ def beamsplitter_matrix(n_modes: int, mode_i: int, mode_j: int, transmissivity: 
     """Beamsplitter acting identically on x and p:
     x_i' = sqrt(T) x_i + sqrt(1-T) x_j,  x_j' = sqrt(1-T) x_i - sqrt(T) x_j.
     """
+    n_modes = as_integer(n_modes, "n_modes must be a positive integer", 1)
     mode_i, mode_j = as_site(mode_i, n_modes), as_site(mode_j, n_modes)
     if mode_i == mode_j:
         raise ValueError("beamsplitter needs two distinct modes")
@@ -241,6 +243,7 @@ def quadrature_combo(
     p: Mapping[int, float] | None = None,
 ) -> QuadratureCombo:
     """Build a combination from per-mode x and p coefficients."""
+    n_modes = as_integer(n_modes, "n_modes must be a positive integer", 1)
     coeff = np.zeros(2 * n_modes)
     for mapping, offset in ((x, 0), (p, 1)):
         for mode, value in (mapping or {}).items():

@@ -259,6 +259,7 @@ class PauliString:
         cls, n_qubits: int, labels: Mapping[int, str], sign: int = 1
     ) -> "PauliString":
         """Identity everywhere except at the given 1-based sites."""
+        n_qubits = as_integer(n_qubits, "qubit count must be a positive integer", 1)
         factors = ["I"] * n_qubits
         for site, label in labels.items():
             factors[as_site(site, n_qubits) - 1] = label

@@ -112,6 +112,8 @@ class Scenario:
     parameter: str
     criterion: str
     evaluate: Callable[[float], tuple[float, float, bool]]
+    # the `threshold` scenario that bisects this verdict over (0, 1), if any
+    threshold: str | None = None
 
 
 def _noise_genuine_sum(p: float) -> tuple[float, float, bool]:
@@ -147,25 +149,23 @@ SCENARIOS: dict[str, Scenario] = {
         "qubit", "p", CriterionId.SPIN_SUM_2OBS.value, _noise_genuine_sum
     ),
     "cv-genuine-sum": Scenario(
-        "cv", "r", CriterionId.CV_FIXED_COMBO.value, _cv_genuine_sum
+        "cv", "r", CriterionId.CV_FIXED_COMBO.value, _cv_genuine_sum, "cv-genuine-r"
     ),
     "cv-fixed-combo": Scenario(
         "cv", "r", CriterionId.CV_FIXED_COMBO.value, _cv_fixed_combo
     ),
     "three-obs-eta": Scenario(
-        "qubit", "eta", CriterionId.SPIN_SUM_3OBS.value, _three_obs_eta
+        "qubit", "eta", CriterionId.SPIN_SUM_3OBS.value, _three_obs_eta, "three-obs-eta"
     ),
     "two-obs-eta": Scenario(
-        "qubit", "eta", CriterionId.SPIN_SUM_2OBS.value, _two_obs_eta
+        "qubit", "eta", CriterionId.SPIN_SUM_2OBS.value, _two_obs_eta, "two-obs-eta"
     ),
 }
 
 
 # Threshold scenario -> the scenario whose verdict it bisects over (0, 1).
 THRESHOLD_SCENARIOS: dict[str, str] = {
-    "three-obs-eta": "three-obs-eta",
-    "two-obs-eta": "two-obs-eta",
-    "cv-genuine-r": "cv-genuine-sum",
+    s.threshold: name for name, s in SCENARIOS.items() if s.threshold is not None
 }
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -265,6 +266,37 @@ class TestSweepCommand:
         records = json_records(out)
         assert records[0]["record"] == "header"
         assert len(records) == 3
+
+
+# Each value the library refuses exits 2 with nothing on stdout, and stderr
+# carries the library's own message naming its limit.
+REFUSALS = [
+    (["ghz-qubit", "--n", "0"], r"qubit count must be an integer in 1\.\.14, got 0"),
+    (["ghz-qubit", "--n", "1"], r"ghz needs at least 2 qubits, got 1"),
+    (["ghz-qubit", "--n", "15"], r"qubit count must be an integer in 1\.\.14, got 15"),
+    (["ghz-qubit", "--noise-p", "1.5"], r"depolarizing weight must lie in \[0, 1\], got 1\.5"),
+    (["ghz-qubit", "--noise-p", "nan"], r"depolarizing weight must lie in \[0, 1\], got nan"),
+    (["ghz-qubit", "--noise-p", "-0.1"], r"depolarizing weight must lie in \[0, 1\], got -0\.1"),
+    (["ghz-qubit", "--n", "4", "--criterion", "genuine-sum"], r"defined for 3 qubits"),
+    (["ghz-qubit", "--eta", "1.5"], r"efficiency must lie in \[0, 1\], got 1\.5"),
+    (["ghz-qubit", "--policy", "constant-guess"], r"constant-guess policy needs a finite guess"),
+    (["ghz-cv", "--r", "-1"], r"squeezing strength must be finite and non-negative, got -1\.0"),
+    (["ghz-cv", "--r", "4.01"], r"squeezing strength 4\.01 exceeds MAX_GHZ_SQUEEZING = 4\.0"),
+    (["ghz-cv", "--r", "inf"], r"squeezing strength must be finite and non-negative, got inf"),
+    (["ghz-cv", "--r", "nan"], r"squeezing strength must be finite and non-negative, got nan"),
+    (["eavesdrop", "--r", "-1"], r"squeezing strength must be finite and non-negative, got -1\.0"),
+    (["eavesdrop", "--r", "4.01"], r"squeezing strength 4\.01 exceeds MAX_GHZ_SQUEEZING = 4\.0"),
+    (["eavesdrop", "--r", "nan"], r"squeezing strength must be finite and non-negative, got nan"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS, ids=[" ".join(a) for a, _ in REFUSALS])
+def test_library_refusal_exits_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ")
+    assert re.search(message, err)
 
 
 class TestDeterminismAndPlumbing:

@@ -28,6 +28,7 @@ from steerkit import (
     vacuum,
     x_quadrature,
 )
+from steerkit.gaussian import beamsplitter_matrix, squeeze_matrix
 from steerkit.qubits import check_partition
 
 # Each call puts `s` in one site or mode slot whose valid range is 1..3, or
@@ -98,6 +99,13 @@ COUNT_CALLS = {
     "find_threshold-max_iterations": lambda c: find_threshold(
         lambda x: x > 3e-4, (0.0, 8e-4), max_iterations=c
     ),
+    "quadrature_combo": lambda c: quadrature_combo(c, x={1: 1.0}),
+    "x_quadrature": lambda c: x_quadrature(c, 1),
+    "p_quadrature": lambda c: p_quadrature(c, 1),
+    "squeeze_matrix": lambda c: squeeze_matrix(c, 1, 0.1),
+    "beamsplitter_matrix": lambda c: beamsplitter_matrix(c, 1, 2, 0.5),
+    "PauliString.from_sites": lambda c: PauliString.from_sites(c, {1: "X"}),
+    "PauliString.single": lambda c: PauliString.single(c, 1, "X"),
 }
 
 

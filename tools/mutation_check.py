@@ -136,6 +136,21 @@ MUTATIONS = (
         "",
         ("tests/test_gaussian.py::TestCombosAndPlans::test_plan_rejects_angles_that_are_not_finite",),
     ),
+    Mutation(
+        "noise-p-only-below-one",
+        "src/steerkit/cli.py",
+        "if args.noise_p != 1.0:",
+        "if args.noise_p < 1.0:",
+        ("tests/test_cli.py::test_library_refusal_exits_two",),
+    ),
+    Mutation(
+        "from-sites-without-count-check",
+        "src/steerkit/qubits.py",
+        """        n_qubits = as_integer(n_qubits, "qubit count must be a positive integer", 1)
+""",
+        "",
+        ("tests/test_site_rule.py::test_counts_must_be_integers",),
+    ),
 )
 
 
