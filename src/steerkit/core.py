@@ -43,6 +43,20 @@ def as_integer(value, requirement: str, minimum: float = -math.inf) -> int:
     return int(value)
 
 
+def as_real(value, requirement: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """value as a Python float if it is a real number but a bool (numpy floats
+    and ints pass), finite and in [low, high]; else ValueError(requirement)."""
+    # a float, the common case, skips the slower ABC check; NaN stands for a refusal
+    real = type(value) is float or (not isinstance(value, bool) and isinstance(value, numbers.Real))
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:  # an int or a Fraction beyond the float range
+        number = math.nan
+    if low <= number <= high and math.isfinite(number):
+        return number
+    raise ValueError(f"{requirement}, got {value!r}")
+
+
 def as_site(site, n: int | None = None) -> int:
     """A site (or mode) index as a Python int (see as_integer) in 1..n, or
     at least 1 when n is None; anything else raises ValueError."""

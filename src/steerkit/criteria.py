@@ -123,7 +123,7 @@ def _spin_sum(
     qubits.check_partition(partition, n)
     masks = []
     for label, predictor in zip("XYZ", predictors):
-        masks += qubits._spin_term_masks(n, partition, label, predictor, model is not None)
+        masks += qubits._spin_term_masks(n, partition, label, predictor)
     # one pass over the state for every term's <T>, <P> and <TP>
     moments = qubits._mask_expectations(state, masks)
     value = 0.0

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import CriterionId, SitePartition, SteeringValue, as_integer, as_site, freeze
+from .core import CriterionId, SitePartition, SteeringValue, as_integer, as_real, as_site, freeze
 
 # Eigenvalues of the measured covariance block below this are treated as zero
 # when inverting; infinite-squeezing limits produce rank-deficient blocks.
@@ -121,8 +121,7 @@ def beamsplitter_matrix(n_modes: int, mode_i: int, mode_j: int, transmissivity: 
     mode_i, mode_j = as_site(mode_i, n_modes), as_site(mode_j, n_modes)
     if mode_i == mode_j:
         raise ValueError("beamsplitter needs two distinct modes")
-    if not 0.0 <= transmissivity <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {transmissivity}")
+    transmissivity = as_real(transmissivity, "transmissivity must lie in [0, 1]", 0.0, 1.0)
     t = math.sqrt(transmissivity)
     u = math.sqrt(1.0 - transmissivity)
     out = np.eye(2 * n_modes)
@@ -136,14 +135,12 @@ def beamsplitter_matrix(n_modes: int, mode_i: int, mode_j: int, transmissivity: 
     return out
 
 
-def _check_squeezing(r: float) -> None:
-    if not (math.isfinite(r) and r >= 0.0):
-        raise ValueError(f"squeezing strength must be finite and non-negative, got {r}")
+def _check_squeezing(r: float) -> float:
+    return as_real(r, "squeezing strength must be finite and non-negative", 0.0)
 
 
 def squeeze(state: GaussianState, mode: int, r: float, angle: float = 0.0) -> GaussianState:
-    _check_squeezing(r)
-    return apply_symplectic(state, squeeze_matrix(state.n_modes, mode, r, angle))
+    return apply_symplectic(state, squeeze_matrix(state.n_modes, mode, _check_squeezing(r), angle))
 
 
 def beamsplitter(
@@ -159,8 +156,7 @@ def loss_channel(state: GaussianState, mode: int, efficiency: float) -> Gaussian
     and trace the ancilla out.
     """
     mode = as_site(mode, state.n_modes)
-    if not 0.0 <= efficiency <= 1.0:
-        raise ValueError(f"efficiency must lie in [0, 1], got {efficiency}")
+    efficiency = as_real(efficiency, "efficiency must lie in [0, 1]", 0.0, 1.0)
     root = math.sqrt(efficiency)
     cov = state.cov.copy()
     mean = state.mean.copy()
@@ -177,7 +173,7 @@ def _ghz_network(n_modes: int, r: float) -> GaussianState:
     """One p-squeezed and two x-squeezed vacua on modes 1-3 mixed on a 1:2 then a
     50:50 beamsplitter; produces small Var(x_j - x_k) and Var(p_1 + p_2 + p_3).
     """
-    _check_squeezing(r)
+    r = _check_squeezing(r)
     if r > MAX_GHZ_SQUEEZING:
         raise ValueError(
             f"squeezing strength {r} exceeds MAX_GHZ_SQUEEZING = {MAX_GHZ_SQUEEZING}, "
@@ -207,8 +203,7 @@ def eavesdrop_scenario(r: float, efficiency: float) -> GaussianState:
     """GHZ-type resource on modes 1-3 with modes 2 and 3 each tapped by a
     beamsplitter of the given transmissivity; modes 4 and 5 carry the taps.
     """
-    if not 0.0 <= efficiency <= 1.0:
-        raise ValueError(f"efficiency must lie in [0, 1], got {efficiency}")
+    efficiency = as_real(efficiency, "efficiency must lie in [0, 1]", 0.0, 1.0)
     return _tap(_ghz_network(5, r), efficiency)
 
 
@@ -266,13 +261,12 @@ class HomodynePlan:
     angles: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple(sorted((as_site(m), float(a)) for m, a in self.angles))
+        requirement = "plan angles must be finite"
+        pairs = tuple(sorted((as_site(m), as_real(a, requirement)) for m, a in self.angles))
         if not pairs:
             raise ValueError("plan must measure at least one mode")
         if len({m for m, _ in pairs}) != len(pairs):
             raise ValueError("plan measures a mode twice")
-        if not all(math.isfinite(a) for _, a in pairs):
-            raise ValueError(f"plan angles must be finite, got {pairs}")
         object.__setattr__(self, "angles", pairs)
 
     @classmethod
@@ -459,6 +453,7 @@ def random_pure_gaussian(
 ) -> GaussianState:
     """Random pure state: passive layer, squeezers, passive layer."""
     n_modes = as_integer(n_modes, "n_modes must be a positive integer", 1)
+    max_squeezing = as_real(max_squeezing, "max_squeezing must be finite and non-negative", 0.0)
     left = _haar_orthosymplectic(n_modes, rng)
     right = _haar_orthosymplectic(n_modes, rng)
     rs = rng.uniform(-max_squeezing, max_squeezing, size=n_modes)

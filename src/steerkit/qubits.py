@@ -17,7 +17,7 @@ from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .core import SitePartition, as_integer, as_site, freeze
+from .core import SitePartition, as_integer, as_real, as_site, freeze
 
 MAX_QUBITS = 14
 
@@ -500,8 +500,7 @@ def ghz_z_predictor(n: int, site: int | None = None) -> PauliString:
 
 def depolarize_global(state: State, p: float) -> DensityMatrix:
     """Mix with the maximally mixed state: p*rho + (1-p)*I/2^n."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing weight must lie in [0, 1], got {p}")
+    p = as_real(p, "depolarizing weight must lie in [0, 1]", 0.0, 1.0)
     components, weights, noise = _ensemble(state)
     return DensityMatrix._from_ensemble(components, p * weights, p * noise + (1.0 - p))
 
@@ -520,18 +519,16 @@ class DetectionModel:
     guess: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "efficiency", float(self.efficiency))
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError(f"efficiency must lie in [0, 1], got {self.efficiency}")
+        efficiency = as_real(self.efficiency, "efficiency must lie in [0, 1]", 0.0, 1.0)
+        object.__setattr__(self, "efficiency", efficiency)
         if self.no_click_policy not in ("marginal-mean", "constant-guess"):
             raise ValueError(
                 "no_click_policy must be 'marginal-mean' or 'constant-guess', "
                 f"got {self.no_click_policy!r}"
             )
         if self.no_click_policy == "constant-guess":
-            if self.guess is None or not math.isfinite(float(self.guess)):
-                raise ValueError("constant-guess policy needs a finite guess value")
-            object.__setattr__(self, "guess", float(self.guess))
+            guess = as_real(self.guess, "constant-guess policy needs a finite guess value")
+            object.__setattr__(self, "guess", guess)
         elif self.guess is not None:
             raise ValueError("guess is only meaningful for the constant-guess policy")
 
@@ -555,18 +552,14 @@ def _require_group_support(predictor: PauliString, partition: SitePartition, mas
 
 
 def _spin_term_masks(
-    n: int, partition: SitePartition, label: str, predictor: PauliString, lossy: bool
+    n: int, partition: SitePartition, label: str, predictor: PauliString
 ) -> tuple[Masks, Masks, Masks]:
     """Masks of (T, P, TP) for the target site's Pauli `label` and a predictor,
-    checked as the per-term kernels check them: the group support, then the
-    predictor's size, with the message of inference_variance_with_loss if
-    lossy and of variance_of_difference if not."""
+    checked as inference_variance_with_loss checks them: the group support,
+    then the predictor's size."""
     p = _string_masks(predictor)
     _require_group_support(predictor, partition, p)
-    if lossy:
-        _check_n_sites((predictor,), n)
-    elif predictor.n_sites != n:
-        raise ValueError("strings act on different numbers of sites")
+    _check_n_sites((predictor,), n)
     return _difference_masks(_site_masks(n, partition.target_site, label), p, predictor.sign)
 
 

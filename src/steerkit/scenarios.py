@@ -10,7 +10,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import criteria, gaussian, qubits
-from .core import STEERED_BY_COMPLEMENT, CriterionId, SitePartition, as_integer
+from .core import STEERED_BY_COMPLEMENT, CriterionId, SitePartition, as_integer, as_real
 from .criteria import (
     CollectiveSteeringReport,
     MonogamyResult,
@@ -64,19 +64,19 @@ def find_threshold(
     bracket: tuple[float, float],
     parameter: str = "parameter",
     tolerance: float = THRESHOLD_TOLERANCE,
-    max_iterations: int = 200,
 ) -> ThresholdResult:
-    """Bisect a monotone boolean predicate down to the tolerance.
+    """Bisect a monotone boolean predicate down to the tolerance, or until
+    the midpoint no longer falls strictly inside the bracket.
 
     The predicate must differ at the two bracket ends; monotonicity inside
     the bracket is the caller's promise.
     """
-    max_iterations = as_integer(max_iterations, "max_iterations must be a non-negative integer", 0)
-    low, high = float(bracket[0]), float(bracket[1])
+    low, high = (as_real(end, "bracket ends must be finite") for end in bracket)
     if not low < high:
         raise ValueError(f"bracket must satisfy low < high, got {bracket}")
-    if not 0.0 < tolerance <= THRESHOLD_TOLERANCE:
-        raise ValueError(f"tolerance must lie in (0, {THRESHOLD_TOLERANCE}]")
+    # math.ulp(0.0) is the least positive float, so the range is (0, THRESHOLD_TOLERANCE]
+    requirement = f"tolerance must lie in (0, {THRESHOLD_TOLERANCE}]"
+    tolerance = as_real(tolerance, requirement, math.ulp(0.0), THRESHOLD_TOLERANCE)
     at_low = bool(predicate(low))
     at_high = bool(predicate(high))
     if at_low == at_high:
@@ -84,8 +84,8 @@ def find_threshold(
             f"predicate is {at_low} at both ends of {bracket}; no flip to find"
         )
     iterations = 0
-    while high - low > tolerance and iterations < max_iterations:
-        mid = 0.5 * (low + high)
+    # over finite floats the bracket shrinks strictly until the midpoint meets an end
+    while high - low > tolerance and low < (mid := 0.5 * (low + high)) < high:
         iterations += 1
         if bool(predicate(mid)) == at_low:
             low = mid
@@ -241,11 +241,9 @@ class EavesdropRecord:
 def eavesdrop_sweep(r: float, eta_grid: Sequence[float]) -> tuple[EavesdropRecord, ...]:
     """Tap modes 2 and 3 at each efficiency and compare steering of mode 1
     by the tapped modes against steering by the taps."""
-    grid = [float(eta) for eta in eta_grid]
+    grid = [as_real(eta, "efficiencies must lie in [0, 1]", 0.0, 1.0) for eta in eta_grid]
     if not grid:
         raise ValueError("efficiency grid must be non-empty")
-    if any(not 0.0 <= eta <= 1.0 for eta in grid):
-        raise ValueError("efficiencies must lie in [0, 1]")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("efficiency grid must be strictly increasing")
     network = gaussian._ghz_network(5, r)
@@ -349,7 +347,7 @@ def simulate_shots(
         estimate = 0.0
         error_sq = 0.0
         for label, predictor in (("X", plan.predictor_x), ("Y", plan.predictor_y)):
-            masks = qubits._spin_term_masks(n, plan.partition, label, predictor, True)
+            masks = qubits._spin_term_masks(n, plan.partition, label, predictor)
             moments = qubits._mask_expectations(state, masks)
             s2, se = _sample_difference_variance(*moments, shots, rng)
             estimate += s2
@@ -380,7 +378,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.backend not in ("qubit", "cv"):
             raise ValueError(f"backend must be 'qubit' or 'cv', got {self.backend!r}")
-        grid = tuple(float(v) for v in self.grid)
+        grid = tuple(as_real(v, "grid points must be finite numbers") for v in self.grid)
         object.__setattr__(self, "grid", grid)
         if not grid:
             raise ValueError("grid must be non-empty")

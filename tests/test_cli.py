@@ -249,6 +249,24 @@ class TestSweepCommand:
         assert out == ""
         assert "seed must be a non-negative integer" in err
 
+    @pytest.mark.parametrize("point", ["0.5", True])
+    def test_grid_point_that_is_not_a_number_is_usage_error(self, tmp_path, capsys, point):
+        config = tmp_path / "sweep.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "backend": "cv",
+                    "scenario": "cv-fixed-combo",
+                    "parameter": "r",
+                    "grid": [point],
+                }
+            )
+        )
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert f"grid points must be finite numbers, got {point!r}" in err
+
     def test_json_output_round_trips(self, tmp_path, capsys):
         config = tmp_path / "sweep.json"
         config.write_text(

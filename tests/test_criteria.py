@@ -255,11 +255,7 @@ class TestSpinSumErrors:
     @pytest.mark.parametrize("model", _MODELS)
     def test_string_of_the_wrong_size(self, model):
         state, part, px = self._pieces()
-        # a lossless term forms TP first, a lossy one reads <P> first
-        want = (
-            "^strings act on different numbers of sites$" if model is None
-            else "^observable acts on 4 sites but state has 3 qubits$"
-        )
+        want = "^observable acts on 4 sites but state has 3 qubits$"
         wide = PauliString.from_sites(4, {1: "Y", 2: "Y"})
         with pytest.raises(ValueError, match=want):
             spin_two_obs(state, part, px, wide, model)
@@ -273,10 +269,7 @@ class TestSpinSumErrors:
         state, part, px = self._pieces()
         wide = PauliString.from_sites(4, {1: "Y", 4: "X"})
         narrow = PauliString(("I", "X"))
-        size_message = (
-            "^strings act on different numbers of sites$" if model is None
-            else "^observable acts on 2 sites but state has 3 qubits$"
-        )
+        size_message = "^observable acts on 2 sites but state has 3 qubits$"
         group_message = r"^predictor acts outside the steering group at sites \[4\]$"
         for predictors, want in (
             ((px, wide), group_message),

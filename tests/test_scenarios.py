@@ -43,6 +43,28 @@ class TestFindThreshold:
         with pytest.raises(ValueError):
             find_threshold(lambda x: x > 0.5, (1.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "tolerance, bracket, flip, iterations",
+        [(1e-300, (0.0, 1.0), 0.25, 54), (5e-324, (-1.0, 1.0), 0.0, 1075)],
+    )
+    def test_tiny_tolerance_stops_when_the_midpoint_meets_an_end(
+        self, tolerance, bracket, flip, iterations
+    ):
+        result = find_threshold(lambda x: x > flip, bracket, tolerance=tolerance)
+        low, high = result.bracket
+        assert result.iterations == iterations
+        assert low <= flip < high and 0.5 * (low + high) in (low, high)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.5", True])
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_bracket_end_refused_before_the_predicate_runs(self, bad, end):
+        calls = []
+        bracket = [0.0, 1.0]
+        bracket[end] = bad
+        with pytest.raises(ValueError, match="^bracket ends must be finite, got "):
+            find_threshold(lambda x: calls.append(x) or x > 0.5, tuple(bracket))
+        assert calls == []
+
     def test_three_obs_efficiency_threshold(self):
         result = run_threshold_scenario("three-obs-eta")
         assert result.critical == pytest.approx(1.0 / 3.0, abs=1e-4)

@@ -1,17 +1,28 @@
-"""Every public function that takes a site, a mode or a count checks it by
-one rule: an integer but a bool (numpy integers pass), within its range."""
+"""Every public function that takes a site, a mode, a count or a real
+parameter checks it by one rule.  A site, mode or count is an integer but a
+bool (numpy integers pass), within its range.  A real parameter is a real
+number but a bool (numpy floats and ints pass), finite and within its range."""
+
+import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from steerkit import (
     CvScanConfig,
+    DetectionModel,
     HomodynePlan,
     PauliString,
     SitePartition,
+    SweepConfig,
     beamsplitter,
     collective_scan,
     cv_ghz,
+    depolarize_global,
+    eavesdrop_scenario,
+    eavesdrop_sweep,
     find_threshold,
     fixed_combo_steering,
     ghz,
@@ -28,6 +39,7 @@ from steerkit import (
     vacuum,
     x_quadrature,
 )
+from steerkit.core import as_real
 from steerkit.gaussian import beamsplitter_matrix, squeeze_matrix
 from steerkit.qubits import check_partition
 
@@ -96,9 +108,6 @@ COUNT_CALLS = {
     "random_density_matrix-rank": lambda c: random_density_matrix(3, _rng(), rank=c),
     "vacuum": lambda c: vacuum(c),
     "random_pure_gaussian": lambda c: random_pure_gaussian(c, _rng()),
-    "find_threshold-max_iterations": lambda c: find_threshold(
-        lambda x: x > 3e-4, (0.0, 8e-4), max_iterations=c
-    ),
     "quadrature_combo": lambda c: quadrature_combo(c, x={1: 1.0}),
     "x_quadrature": lambda c: x_quadrature(c, 1),
     "p_quadrature": lambda c: p_quadrature(c, 1),
@@ -119,3 +128,81 @@ def test_counts_must_be_integers(name, bad):
 @pytest.mark.parametrize("name", COUNT_CALLS)
 def test_counts_accept_numpy_integers(name):
     COUNT_CALLS[name](np.int64(3))
+
+
+UNIT = "must lie in [0, 1]"
+SQUEEZING = "squeezing strength must be finite and non-negative"
+# Each call puts `x` in one real slot for which 0.5 and 1 are valid: its
+# message, and its bounds, None where the slot has none but finiteness.
+REAL_CALLS = {
+    "depolarize_global": (
+        lambda x: depolarize_global(ghz(3), x), f"depolarizing weight {UNIT}", 0.0, 1.0
+    ),
+    "DetectionModel-efficiency": (lambda x: DetectionModel(x), f"efficiency {UNIT}", 0.0, 1.0),
+    "DetectionModel-guess": (
+        lambda x: DetectionModel(0.5, "constant-guess", x),
+        "constant-guess policy needs a finite guess value", None, None,
+    ),
+    "beamsplitter_matrix": (
+        lambda x: beamsplitter_matrix(3, 1, 2, x), f"transmissivity {UNIT}", 0.0, 1.0
+    ),
+    "beamsplitter": (
+        lambda x: beamsplitter(vacuum(3), 1, 2, x), f"transmissivity {UNIT}", 0.0, 1.0
+    ),
+    "squeeze": (lambda x: squeeze(vacuum(1), 1, x), SQUEEZING, 0.0, None),
+    # MAX_GHZ_SQUEEZING is a rule of its own, tested through the CLI
+    "cv_ghz": (lambda x: cv_ghz(x), SQUEEZING, 0.0, None),
+    "eavesdrop_scenario-r": (lambda x: eavesdrop_scenario(x, 0.5), SQUEEZING, 0.0, None),
+    "loss_channel": (lambda x: loss_channel(vacuum(1), 1, x), f"efficiency {UNIT}", 0.0, 1.0),
+    "eavesdrop_scenario-efficiency": (
+        lambda x: eavesdrop_scenario(1.0, x), f"efficiency {UNIT}", 0.0, 1.0
+    ),
+    "HomodynePlan": (lambda x: HomodynePlan(((1, x),)), "plan angles must be finite", None, None),
+    "random_pure_gaussian": (
+        lambda x: random_pure_gaussian(2, _rng(), max_squeezing=x),
+        "max_squeezing must be finite and non-negative", 0.0, None,
+    ),
+    "eavesdrop_sweep": (lambda x: eavesdrop_sweep(1.0, [x]), f"efficiencies {UNIT}", 0.0, 1.0),
+    "SweepConfig": (
+        lambda x: SweepConfig("cv", "cv-fixed-combo", "r", (x,)),
+        "grid points must be finite numbers", None, None,
+    ),
+    "find_threshold-low": (
+        lambda x: find_threshold(lambda v: v > 1.5, (x, 2.0)),
+        "bracket ends must be finite", None, None,
+    ),
+    "find_threshold-high": (
+        lambda x: find_threshold(lambda v: v > -0.5, (-1.0, x)),
+        "bracket ends must be finite", None, None,
+    ),
+}
+
+
+def _real_cases():
+    for name, (_, message, low, high) in REAL_CALLS.items():
+        bad = ["0.5", True, math.nan, math.inf, -math.inf]
+        bad += [] if low is None else [low - 0.25]
+        bad += [] if high is None else [high + 0.25]
+        for value in bad:
+            yield pytest.param(name, value, message, id=f"{name}-{value!r}")
+
+
+@pytest.mark.parametrize("name, bad, message", _real_cases())
+def test_real_rule_refuses(name, bad, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}, got {re.escape(repr(bad))}$"):
+        REAL_CALLS[name][0](bad)
+
+
+@pytest.mark.parametrize("good", [np.float64(0.5), np.float32(0.5), 1])
+@pytest.mark.parametrize("name", REAL_CALLS)
+def test_real_rule_accepts_numpy_floats_and_ints(name, good):
+    REAL_CALLS[name][0](good)
+
+
+def test_as_real_returns_python_floats():
+    for value in (np.float64(0.5), np.float32(0.5), np.int64(2), 2, Fraction(1, 4), -0.0):
+        assert type(as_real(value, "real")) is float and as_real(value, "real") == value
+    assert as_real(1.0, "real", 1.0, 1.0) == 1.0
+    for bad in (10**400, np.bool_(True), None, 1j, math.nextafter(1.0, 2.0)):
+        with pytest.raises(ValueError, match=r"^real in \[0, 1\], got "):
+            as_real(bad, "real in [0, 1]", 0.0, 1.0)

@@ -51,15 +51,9 @@ MUTATIONS = (
         "group-check-after-size-check",
         "src/steerkit/qubits.py",
         """    _require_group_support(predictor, partition, p)
-    if lossy:
-        _check_n_sites((predictor,), n)
-    elif predictor.n_sites != n:
-        raise ValueError("strings act on different numbers of sites")
+    _check_n_sites((predictor,), n)
 """,
-        """    if lossy:
-        _check_n_sites((predictor,), n)
-    elif predictor.n_sites != n:
-        raise ValueError("strings act on different numbers of sites")
+        """    _check_n_sites((predictor,), n)
     _require_group_support(predictor, partition, p)
 """,
         ("tests/test_criteria.py::TestSpinSumErrors::test_wrong_size_and_outside_the_group",),
@@ -67,7 +61,7 @@ MUTATIONS = (
     Mutation(
         "shots-without-group-check",
         "src/steerkit/scenarios.py",
-        "masks = qubits._spin_term_masks(n, plan.partition, label, predictor, True)",
+        "masks = qubits._spin_term_masks(n, plan.partition, label, predictor)",
         "masks = qubits._difference_masks(qubits._site_masks(n, plan.partition.target_site, "
         "label), qubits._string_masks(predictor), predictor.sign)",
         (
@@ -128,13 +122,25 @@ MUTATIONS = (
         ("tests/test_site_rule.py::test_site_rule_refuses",),
     ),
     Mutation(
-        "plan-without-finite-angles",
-        "src/steerkit/gaussian.py",
-        """        if not all(math.isfinite(a) for _, a in pairs):
-            raise ValueError(f"plan angles must be finite, got {pairs}")
-""",
-        "",
-        ("tests/test_gaussian.py::TestCombosAndPlans::test_plan_rejects_angles_that_are_not_finite",),
+        "real-without-finite-check",
+        "src/steerkit/core.py",
+        "if low <= number <= high and math.isfinite(number):",
+        "if low <= number <= high:",
+        (
+            "tests/test_site_rule.py::test_real_rule_refuses",
+            "tests/test_gaussian.py::TestCombosAndPlans::test_plan_rejects_angles_that_are_not_finite",
+            "tests/test_scenarios.py::TestFindThreshold::test_bracket_end_refused_before_the_predicate_runs",
+        ),
+    ),
+    Mutation(
+        "real-accepts-bools",
+        "src/steerkit/core.py",
+        "not isinstance(value, bool) and isinstance(value, numbers.Real)",
+        "isinstance(value, numbers.Real)",
+        (
+            "tests/test_site_rule.py::test_real_rule_refuses",
+            "tests/test_cli.py::TestSweepCommand::test_grid_point_that_is_not_a_number_is_usage_error",
+        ),
     ),
     Mutation(
         "noise-p-only-below-one",
