@@ -33,6 +33,16 @@ TWO_OBSERVABLE_CRITERIA = frozenset(
 )
 
 
+# A value within this guard of its bound is not below it, so rounding cannot
+# decide a verdict on the bound.  Bounds are 1 or 2; the guard is absolute.
+BOUNDARY_TOLERANCE = 1e-9
+
+
+def below_bound(value: float, bound: float) -> bool:
+    """The one rule behind every verdict, genuine, collective and monogamy flag."""
+    return value < bound - BOUNDARY_TOLERANCE
+
+
 def as_integer(value, requirement: str, minimum: float = -math.inf) -> int:
     """value as a Python int if it is an integer but a bool (numpy ints pass)
     and >= minimum; a float, a string or True raises ValueError(requirement)."""
@@ -108,7 +118,8 @@ STEERED_BY_COMPLEMENT = (
 class SteeringValue:
     """One evaluated steering criterion.
 
-    The verdict is strict: value == bound is not a violation.
+    The verdict is below_bound(value, bound): a value on its bound, or at
+    most BOUNDARY_TOLERANCE (1e-9) below it, is not a violation.
     """
 
     criterion_id: CriterionId
@@ -126,8 +137,8 @@ class SteeringValue:
             raise ValueError(f"bound must be 1 or 2, got {self.bound}")
         if not (self.value >= 0.0 and math.isfinite(self.value)):
             raise ValueError(f"value must be finite and non-negative, got {self.value}")
-        if self.verdict != (self.value < self.bound):
-            raise ValueError("verdict must equal (value < bound)")
+        if self.verdict != below_bound(self.value, self.bound):
+            raise ValueError("verdict must equal (value < bound - 1e-9)")
 
     @classmethod
     def of(
@@ -137,9 +148,8 @@ class SteeringValue:
         value: float,
         bound: float = 1.0,
     ) -> "SteeringValue":
-        value = float(value)
-        bound = float(bound)
-        return cls(criterion_id, partition, value, bound, value < bound)
+        value, bound = float(value), float(bound)
+        return cls(criterion_id, partition, value, bound, below_bound(value, bound))
 
     def to_dict(self) -> dict:
         """Flat JSON-ready representation."""

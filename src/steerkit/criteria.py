@@ -17,12 +17,10 @@ from .core import (
     SitePartition,
     SteeringValue,
     as_integer,
+    below_bound,
 )
 from .gaussian import GaussianState
 from .qubits import DetectionModel, PauliString
-
-MONOGAMY_TOLERANCE = 1e-9
-COLLECTIVE_BOUNDARY_TOLERANCE = 1e-9
 
 _PRODUCT_FAMILY = frozenset({CriterionId.CV_PRODUCT, CriterionId.CV_FIXED_COMBO})
 _SUM_FAMILY = frozenset({CriterionId.SPIN_SUM_2OBS})
@@ -35,8 +33,8 @@ class GenuineSteeringReport:
     """Per-target steering values for a tripartite state and their sum.
 
     Genuine tripartite steering is certified when the three values sum to
-    less than 1; the convexity argument behind the bound requires all three
-    values to come from the same criterion family.
+    below 1 (core.below_bound); the convexity argument behind the bound
+    requires all three values to come from the same criterion family.
     """
 
     values: tuple[SteeringValue, SteeringValue, SteeringValue]
@@ -50,8 +48,8 @@ class GenuineSteeringReport:
         total = math.fsum(v.value for v in self.values)
         if abs(self.sum - total) > 1e-12:
             raise ValueError("sum does not match the per-target values")
-        if self.genuine != (self.sum < 1.0):
-            raise ValueError("genuine flag must equal (sum < 1)")
+        if self.genuine != below_bound(self.sum, 1.0):
+            raise ValueError("genuine flag must equal (sum < 1 - 1e-9)")
 
     def to_dict(self) -> dict:
         return {
@@ -66,18 +64,17 @@ class GenuineSteeringReport:
 
 def _only_full_group_steers(full_group: SteeringValue, subsets: Iterable[SteeringValue]) -> bool:
     """The collective rule of CollectiveSteeringReport."""
-    edge = 1.0 - COLLECTIVE_BOUNDARY_TOLERANCE
-    return full_group.value < edge and all(v.value >= edge for v in subsets)
+    return full_group.verdict and not any(v.verdict for v in subsets)
 
 
 @dataclass(frozen=True)
 class CollectiveSteeringReport:
     """Best criterion value for the full group and for every proper subset.
 
-    Collective steering holds when only the full group steers: its value
-    lies below 1 - COLLECTIVE_BOUNDARY_TOLERANCE (1e-9) and no proper subset's
-    does.  The guard makes constructions that sit exactly on the bound, where
-    rounding can land a value a hair either side of 1, count as not steering.
+    Collective steering holds when only the full group steers: its verdict
+    is true and no proper subset's is.  Each verdict is core.below_bound's,
+    so a subset that sits exactly on the bound, where rounding can land a
+    value a hair either side of 1, counts as not steering.
     """
 
     full_group: SteeringValue
@@ -86,10 +83,7 @@ class CollectiveSteeringReport:
 
     def __post_init__(self) -> None:
         if self.collective != _only_full_group_steers(self.full_group, self.subsets):
-            raise ValueError(
-                "collective flag must equal (full group below 1 and no subset below 1, "
-                "with a 1e-9 guard)"
-            )
+            raise ValueError("collective flag must equal (full group steers and no subset steers)")
 
 
 @dataclass(frozen=True)
@@ -188,7 +182,7 @@ def genuine_tripartite_aggregate(
     ordered = tuple(sorted(values, key=lambda v: v.partition.target_site))
     total = math.fsum(v.value for v in ordered)
     notes = f"family={family}; criteria={sorted(i.value for i in ids)}"
-    return GenuineSteeringReport(ordered, total, total < 1.0, notes)
+    return GenuineSteeringReport(ordered, total, below_bound(total, 1.0), notes)
 
 
 def monogamy_check(s_ba: SteeringValue, s_bc: SteeringValue) -> MonogamyResult:
@@ -207,7 +201,7 @@ def monogamy_check(s_ba: SteeringValue, s_bc: SteeringValue) -> MonogamyResult:
     if s_ba.partition.steering_group & s_bc.partition.steering_group:
         raise ValueError("steering groups must be disjoint")
     product_value = s_ba.value * s_bc.value
-    return MonogamyResult(product_value, product_value >= 1.0 - MONOGAMY_TOLERANCE)
+    return MonogamyResult(product_value, not below_bound(product_value, 1.0))
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,8 @@ def squeeze_matrix(n_modes: int, mode: int, r: float, angle: float = 0.0) -> np.
     """Single-mode squeezer: at angle 0, x shrinks by e^-r and p grows by e^r."""
     n_modes = as_integer(n_modes, "n_modes must be a positive integer", 1)
     mode = as_site(mode, n_modes)
+    r = _check_squeezing(r)
+    angle = as_real(angle, "squeezing angle must be finite")
     c, s = math.cos(angle), math.sin(angle)
     rot = np.array([[c, -s], [s, c]])
     local = rot @ np.diag([math.exp(-r), math.exp(r)]) @ rot.T
@@ -140,7 +142,7 @@ def _check_squeezing(r: float) -> float:
 
 
 def squeeze(state: GaussianState, mode: int, r: float, angle: float = 0.0) -> GaussianState:
-    return apply_symplectic(state, squeeze_matrix(state.n_modes, mode, _check_squeezing(r), angle))
+    return apply_symplectic(state, squeeze_matrix(state.n_modes, mode, r, angle))
 
 
 def beamsplitter(

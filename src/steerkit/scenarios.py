@@ -74,6 +74,8 @@ def find_threshold(
     low, high = (as_real(end, "bracket ends must be finite") for end in bracket)
     if not low < high:
         raise ValueError(f"bracket must satisfy low < high, got {bracket}")
+    if math.isinf(2.0 * low) or math.isinf(2.0 * high):  # no sum low + high may overflow
+        raise ValueError(f"bracket ends must lie within half the float range, got {bracket}")
     # math.ulp(0.0) is the least positive float, so the range is (0, THRESHOLD_TOLERANCE]
     requirement = f"tolerance must lie in (0, {THRESHOLD_TOLERANCE}]"
     tolerance = as_real(tolerance, requirement, math.ulp(0.0), THRESHOLD_TOLERANCE)

@@ -123,6 +123,16 @@ class TestEavesdropCommand:
         assert midpoint["eta"] == pytest.approx(0.5)
         assert abs(midpoint["accomplice_value"] - midpoint["eavesdropper_value"]) <= 1e-9
 
+    def test_symmetric_tap_steers_for_neither_party(self, capsys):
+        # at eta = 0.5 both values are 1 in exact arithmetic, a few ulps off in floats
+        argv = ["eavesdrop", "--r", "0.5", "--eta-grid", "0:1:0.5", "--json"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        records = [r for r in json_records(out) if r["record"] == "eavesdrop"]
+        assert len(records) == 3
+        assert not any(r["accomplice_verdict"] and r["eavesdropper_verdict"] for r in records)
+        assert not records[1]["accomplice_verdict"] and not records[1]["eavesdropper_verdict"]
+
     def test_single_point_vacuum(self, capsys):
         code, out, _ = run_cli(capsys, "eavesdrop", "--r", "0", "--eta-grid", "0.5:0.5:0.1")
         assert code == 0

@@ -427,6 +427,43 @@ class TestMonogamy:
         assert result.product >= 1.0 - 1e-9
 
 
+SQUEEZINGS = [0.05 * i for i in range(1, 81)]
+ETAS = [i / 100 for i in range(101)]
+
+
+class TestExactBound:
+    """Cases whose value equals its bound in exact arithmetic.  Rounding lands
+    them a few ulps either side, and none of them may count as steering."""
+
+    @pytest.mark.parametrize("r", SQUEEZINGS)
+    def test_pure_tap_sits_on_every_bound(self, r):
+        records = scenarios.eavesdrop_sweep(r, ETAS)
+        # partners and taps are equally good at eta = 0.5, so each value is 1
+        (half,) = (record for record in records if record.eta == 0.5)
+        assert not half.accomplice_verdict and not half.eavesdropper_verdict
+        for record in records:
+            assert not (record.accomplice_verdict and record.eavesdropper_verdict)
+            # the pure tap's monogamy product is 1 at every efficiency
+            partners = canonical_value(CriterionId.CV_PRODUCT, {2, 3}, 1, record.accomplice_value)
+            taps = canonical_value(CriterionId.CV_PRODUCT, {4, 5}, 1, record.eavesdropper_value)
+            assert monogamy_check(partners, taps).satisfied
+
+    @pytest.mark.parametrize("n", range(2, qubits.MAX_QUBITS + 1))
+    def test_ghz_spin_sums_at_their_crossings(self, n):
+        group = SitePartition(frozenset(range(1, n)), n)
+        px, py = qubits.ghz_predictor(n, "x"), qubits.ghz_predictor(n, "y")
+        pz = qubits.ghz_z_predictor(n)
+        # 4(1 - p) = 1 at p = 3/4; 2(1 - eta) = 1 at eta = 1/2; 3(1 - eta) = 2 at eta = 1/3
+        cases = (
+            spin_two_obs(depolarize_global(ghz(n), 0.75), group, px, py),
+            spin_two_obs(ghz(n), group, px, py, DetectionModel(0.5)),
+            spin_three_obs(ghz(n), group, px, py, pz, DetectionModel(1.0 / 3.0)),
+        )
+        for value in cases:
+            assert value.value == pytest.approx(value.bound, abs=1e-12)
+            assert not value.verdict
+
+
 class TestCollectiveScan:
     def test_qubit_ghz3(self):
         report = collective_scan(ghz(3), 3, {1, 2})
@@ -589,7 +626,7 @@ class TestCollectiveScan:
 
     def test_report_guards_the_full_group_like_the_subsets(self):
         just_under = SteeringValue.of(CriterionId.CV_PRODUCT, partition([2, 3], 1), 1.0 - 1e-10)
-        assert just_under.verdict
+        assert not just_under.verdict
         assert not criteria.CollectiveSteeringReport(just_under, (), False).collective
         with pytest.raises(ValueError, match="collective flag"):
             criteria.CollectiveSteeringReport(just_under, (), True)

@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from steerkit import gaussian, qubits
 from steerkit.cli import UsageError, _parse_eta_grid
-from steerkit.core import CriterionId, SitePartition, SteeringValue
+from steerkit.core import BOUNDARY_TOLERANCE, CriterionId, SitePartition, SteeringValue
 from steerkit.criteria import (
-    MONOGAMY_TOLERANCE,
     CvScanConfig,
     collective_scan,
     cv3_genuine_report,
@@ -817,4 +816,15 @@ class TestEavesdropSweep:
             assert math.isclose(
                 record.eavesdropper_value, mirror.accomplice_value, rel_tol=1e-12
             )
-            assert record.monogamy_product >= 1.0 - MONOGAMY_TOLERANCE
+            assert record.monogamy_product >= 1.0 - BOUNDARY_TOLERANCE
+
+    @given(
+        r=st.floats(min_value=0.0, max_value=gaussian.MAX_GHZ_SQUEEZING),
+        etas=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_partners_and_taps_never_both_steer(self, r, etas):
+        # monogamy: two disjoint groups cannot both steer mode 1, and at
+        # eta = 0.5 both values are exactly 1
+        for record in eavesdrop_sweep(r, sorted({0.5, *etas})):
+            assert not (record.accomplice_verdict and record.eavesdropper_verdict)

@@ -1,6 +1,7 @@
 """End-to-end scenarios: thresholds, secret sharing, eavesdropping, sampling."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -64,6 +65,26 @@ class TestFindThreshold:
         with pytest.raises(ValueError, match="^bracket ends must be finite, got "):
             find_threshold(lambda x: calls.append(x) or x > 0.5, tuple(bracket))
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "bracket, flip",
+        [((1e308, 1.7e308), 1.5e308), ((-1.7e308, -1e308), -1.5e308), ((0.0, 1.7e308), 1.5e308)],
+    )
+    def test_bracket_whose_midpoints_overflow_refused_before_the_predicate_runs(
+        self, bracket, flip
+    ):
+        # the last bracket's ends sum to a float, but low + high overflows
+        # once low passes half the range
+        calls = []
+        message = "^bracket ends must lie within half the float range, got "
+        with pytest.raises(ValueError, match=message):
+            find_threshold(lambda x: calls.append(x) or x > flip, bracket)
+        assert calls == []
+
+    def test_widest_bracket_bisects(self):
+        half = sys.float_info.max / 2.0
+        result = find_threshold(lambda x: x > 0.25, (-half, half))
+        assert result.bracket[0] <= 0.25 < result.bracket[1]
 
     def test_three_obs_efficiency_threshold(self):
         result = run_threshold_scenario("three-obs-eta")

@@ -132,6 +132,7 @@ def test_counts_accept_numpy_integers(name):
 
 UNIT = "must lie in [0, 1]"
 SQUEEZING = "squeezing strength must be finite and non-negative"
+ANGLE = "squeezing angle must be finite"
 # Each call puts `x` in one real slot for which 0.5 and 1 are valid: its
 # message, and its bounds, None where the slot has none but finiteness.
 REAL_CALLS = {
@@ -150,6 +151,9 @@ REAL_CALLS = {
         lambda x: beamsplitter(vacuum(3), 1, 2, x), f"transmissivity {UNIT}", 0.0, 1.0
     ),
     "squeeze": (lambda x: squeeze(vacuum(1), 1, x), SQUEEZING, 0.0, None),
+    "squeeze-angle": (lambda x: squeeze(vacuum(1), 1, 0.5, x), ANGLE, None, None),
+    "squeeze_matrix-r": (lambda x: squeeze_matrix(1, 1, x), SQUEEZING, 0.0, None),
+    "squeeze_matrix-angle": (lambda x: squeeze_matrix(1, 1, 0.5, x), ANGLE, None, None),
     # MAX_GHZ_SQUEEZING is a rule of its own, tested through the CLI
     "cv_ghz": (lambda x: cv_ghz(x), SQUEEZING, 0.0, None),
     "eavesdrop_scenario-r": (lambda x: eavesdrop_scenario(x, 0.5), SQUEEZING, 0.0, None),

@@ -157,6 +157,35 @@ MUTATIONS = (
         "",
         ("tests/test_site_rule.py::test_counts_must_be_integers",),
     ),
+    Mutation(
+        "below-bound-without-guard",
+        "src/steerkit/core.py",
+        "return value < bound - BOUNDARY_TOLERANCE",
+        "return value < bound",
+        (
+            "tests/test_criteria.py::TestExactBound::test_pure_tap_sits_on_every_bound",
+            "tests/test_criteria.py::TestCollectiveScan::test_report_guards_the_full_group_like_the_subsets",
+            "tests/test_properties.py::TestEavesdropSweep::test_partners_and_taps_never_both_steer",
+            "tests/test_cli.py::TestEavesdropCommand::test_symmetric_tap_steers_for_neither_party",
+        ),
+    ),
+    Mutation(
+        "threshold-without-overflow-refusal",
+        "src/steerkit/scenarios.py",
+        """    if math.isinf(2.0 * low) or math.isinf(2.0 * high):  # no sum low + high may overflow
+        raise ValueError(f"bracket ends must lie within half the float range, got {bracket}")
+""",
+        "",
+        ("tests/test_scenarios.py::TestFindThreshold::test_bracket_whose_midpoints_overflow_refused_before_the_predicate_runs",),
+    ),
+    Mutation(
+        "squeeze-angle-unchecked",
+        "src/steerkit/gaussian.py",
+        """    angle = as_real(angle, "squeezing angle must be finite")
+""",
+        "",
+        ("tests/test_site_rule.py::test_real_rule_refuses",),
+    ),
 )
 
 
