@@ -3,147 +3,25 @@
 Two backends share one vocabulary of criteria: finite stabilizer states on
 up to 14 qubits, and Gaussian states described by quadrature covariance
 matrices.  Every criterion returns a :class:`SteeringValue` whose verdict is
-``core.below_bound(value, bound)``: a value on its bound is not a violation.
+``core.below_bound(value, bound)`` against its criterion's own bound: a
+value on its bound is not a violation.
+
+Each module declares its public names once, in its ``__all__``; the package
+exports exactly their union.
 """
 
-from .core import (
-    TWO_OBSERVABLE_CRITERIA,
-    CriterionId,
-    SitePartition,
-    SteeringValue,
-    partition,
-)
-from .criteria import (
-    CollectiveSteeringReport,
-    CvScanConfig,
-    GenuineSteeringReport,
-    MonogamyResult,
-    QubitScanConfig,
-    TripartiteScanReport,
-    collective_scan,
-    cv3_genuine_report,
-    genuine_tripartite_aggregate,
-    ghz3_genuine_report,
-    monogamy_check,
-    pure_state_tripartite_scan,
-    spin_three_obs,
-    spin_two_obs,
-)
-from .gaussian import (
-    GaussianState,
-    HomodynePlan,
-    QuadratureCombo,
-    beamsplitter,
-    combo_variance,
-    cv_ghz,
-    eavesdrop_scenario,
-    fixed_combo_steering,
-    loss_channel,
-    optimal_conditional_variance,
-    p_quadrature,
-    quadrature_combo,
-    random_pure_gaussian,
-    squeeze,
-    steering_product_cv,
-    symplectic_eigenvalues,
-    vacuum,
-    x_quadrature,
-)
-from .qubits import (
-    MAX_QUBITS,
-    DensityMatrix,
-    DetectionModel,
-    PauliString,
-    PureState,
-    depolarize_global,
-    expectation,
-    ghz,
-    ghz_predictor,
-    ghz_predictor_for_target,
-    ghz_z_predictor,
-    inference_variance_with_loss,
-    optimal_inference_variance,
-    random_density_matrix,
-    random_pure_state,
-    variance_of_difference,
-)
-from .scenarios import (
-    EavesdropRecord,
-    SweepConfig,
-    ThresholdNotFoundError,
-    ThresholdResult,
-    eavesdrop_sweep,
-    find_threshold,
-    run_sweep,
-    run_threshold_scenario,
-    secret_sharing_demo,
-    simulate_shots,
-)
+from . import core, criteria, gaussian, qubits, scenarios
+from .core import *
+from .criteria import *
+from .gaussian import *
+from .qubits import *
+from .scenarios import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CollectiveSteeringReport",
-    "CriterionId",
-    "CvScanConfig",
-    "DensityMatrix",
-    "DetectionModel",
-    "EavesdropRecord",
-    "GaussianState",
-    "GenuineSteeringReport",
-    "HomodynePlan",
-    "MAX_QUBITS",
-    "MonogamyResult",
-    "PauliString",
-    "PureState",
-    "QuadratureCombo",
-    "QubitScanConfig",
-    "SitePartition",
-    "SteeringValue",
-    "SweepConfig",
-    "ThresholdNotFoundError",
-    "ThresholdResult",
-    "TripartiteScanReport",
-    "TWO_OBSERVABLE_CRITERIA",
-    "beamsplitter",
-    "collective_scan",
-    "combo_variance",
-    "cv3_genuine_report",
-    "cv_ghz",
-    "depolarize_global",
-    "eavesdrop_scenario",
-    "eavesdrop_sweep",
-    "expectation",
-    "find_threshold",
-    "fixed_combo_steering",
-    "genuine_tripartite_aggregate",
-    "ghz",
-    "ghz3_genuine_report",
-    "ghz_predictor",
-    "ghz_predictor_for_target",
-    "ghz_z_predictor",
-    "inference_variance_with_loss",
-    "loss_channel",
-    "monogamy_check",
-    "optimal_conditional_variance",
-    "optimal_inference_variance",
-    "p_quadrature",
-    "partition",
-    "pure_state_tripartite_scan",
-    "quadrature_combo",
-    "random_density_matrix",
-    "random_pure_gaussian",
-    "random_pure_state",
-    "run_sweep",
-    "run_threshold_scenario",
-    "secret_sharing_demo",
-    "simulate_shots",
-    "spin_three_obs",
-    "spin_two_obs",
-    "squeeze",
-    "steering_product_cv",
-    "symplectic_eigenvalues",
-    "vacuum",
-    "variance_of_difference",
-    "x_quadrature",
-]
+__all__ = []
+__all__ += core.__all__
+__all__ += criteria.__all__
+__all__ += gaussian.__all__
+__all__ += qubits.__all__
+__all__ += scenarios.__all__

@@ -10,6 +10,10 @@ from typing import Iterable
 
 import numpy as np
 
+__all__ = [
+    "TWO_OBSERVABLE_CRITERIA", "CriterionId", "SitePartition", "SteeringValue", "partition",
+]
+
 
 def freeze(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
@@ -17,20 +21,43 @@ def freeze(array: np.ndarray) -> np.ndarray:
 
 
 class CriterionId(enum.Enum):
-    """Identifies which steering inequality produced a value."""
+    """Identifies which steering inequality produced a value.
+
+    Each criterion has one bound and one aggregation family, stated once in
+    CRITERION_TABLE (He & Reid, arXiv:1212.2270): Reid's inferred product
+    Delta x * Delta p and the two-observable spin sum steer below 1, the
+    three-observable spin sum below 2.
+    """
 
     CV_PRODUCT = "cv-product"
     SPIN_SUM_2OBS = "spin-sum-2obs"
     SPIN_SUM_3OBS = "spin-sum-3obs"
     CV_FIXED_COMBO = "cv-fixed-combo"
 
+    @property
+    def bound(self) -> float:
+        return CRITERION_TABLE[self][0]
 
-# Criteria built from two observables per site.  The three-observable spin
-# sum is excluded: its bound is 2 and the monogamy product argument does not
-# apply to it.
-TWO_OBSERVABLE_CRITERIA = frozenset(
-    {CriterionId.CV_PRODUCT, CriterionId.SPIN_SUM_2OBS, CriterionId.CV_FIXED_COMBO}
-)
+    @property
+    def family(self) -> str:
+        """"product" of inferred uncertainties or "sum" of inferred variances."""
+        return CRITERION_TABLE[self][1]
+
+
+# (bound, family) of each criterion; the genuine tripartite sum admits only
+# bound-1 values of one family, since mixing families breaks its convexity
+# argument.
+CRITERION_TABLE = {
+    CriterionId.CV_PRODUCT: (1.0, "product"),
+    CriterionId.SPIN_SUM_2OBS: (1.0, "sum"),
+    CriterionId.SPIN_SUM_3OBS: (2.0, "sum"),
+    CriterionId.CV_FIXED_COMBO: (1.0, "product"),
+}
+
+# The bound-1 criteria are those built from two observables per target; the
+# monogamy product argument applies to them and not to the three-observable
+# spin sum.
+TWO_OBSERVABLE_CRITERIA = frozenset(c for c, (bound, _) in CRITERION_TABLE.items() if bound == 1.0)
 
 
 # A value within this guard of its bound is not below it, so rounding cannot
@@ -118,8 +145,10 @@ STEERED_BY_COMPLEMENT = (
 class SteeringValue:
     """One evaluated steering criterion.
 
-    The verdict is below_bound(value, bound): a value on its bound, or at
-    most BOUNDARY_TOLERANCE (1e-9) below it, is not a violation.
+    The bound is always the criterion's own (CRITERION_TABLE); build a value
+    with SteeringValue.of, which looks it up.  The verdict is
+    below_bound(value, bound): a value on its bound, or at most
+    BOUNDARY_TOLERANCE (1e-9) below it, is not a violation.
     """
 
     criterion_id: CriterionId
@@ -133,22 +162,22 @@ class SteeringValue:
         object.__setattr__(self, "bound", float(self.bound))
         if not isinstance(self.criterion_id, CriterionId):
             raise ValueError("criterion_id must be a CriterionId")
-        if self.bound not in (1.0, 2.0):
-            raise ValueError(f"bound must be 1 or 2, got {self.bound}")
+        if self.bound != CRITERION_TABLE[self.criterion_id][0]:
+            raise ValueError(
+                f"bound of {self.criterion_id.value} is {self.criterion_id.bound}, got {self.bound}"
+            )
         if not (self.value >= 0.0 and math.isfinite(self.value)):
             raise ValueError(f"value must be finite and non-negative, got {self.value}")
         if self.verdict != below_bound(self.value, self.bound):
             raise ValueError("verdict must equal (value < bound - 1e-9)")
 
     @classmethod
-    def of(
-        cls,
-        criterion_id: CriterionId,
-        partition: SitePartition,
-        value: float,
-        bound: float = 1.0,
-    ) -> "SteeringValue":
-        value, bound = float(value), float(bound)
+    def of(cls, criterion_id: CriterionId, partition: SitePartition, value: float) -> SteeringValue:
+        """The value of criterion_id, against that criterion's bound."""
+        try:
+            value, bound = float(value), CRITERION_TABLE[criterion_id][0]
+        except KeyError:
+            raise ValueError("criterion_id must be a CriterionId") from None
         return cls(criterion_id, partition, value, bound, below_bound(value, bound))
 
     def to_dict(self) -> dict:

@@ -22,8 +22,12 @@ from .core import (
 from .gaussian import GaussianState
 from .qubits import DetectionModel, PauliString
 
-_PRODUCT_FAMILY = frozenset({CriterionId.CV_PRODUCT, CriterionId.CV_FIXED_COMBO})
-_SUM_FAMILY = frozenset({CriterionId.SPIN_SUM_2OBS})
+__all__ = [
+    "CollectiveSteeringReport", "CvScanConfig", "GenuineSteeringReport", "MonogamyResult",
+    "QubitScanConfig", "TripartiteScanReport", "collective_scan", "cv3_genuine_report",
+    "genuine_tripartite_aggregate", "ghz3_genuine_report", "monogamy_check",
+    "pure_state_tripartite_scan", "spin_three_obs", "spin_two_obs",
+]
 
 AnyState = Union[qubits.PureState, qubits.DensityMatrix, GaussianState]
 
@@ -112,7 +116,7 @@ def _spin_sum(
     predictors: Sequence[PauliString],
     model: DetectionModel | None,
 ) -> SteeringValue:
-    """Spin sum over the target's X, Y (, Z); bound = #predictors - 1."""
+    """Spin sum over the target's X, Y (, Z), against its criterion's bound."""
     n = qubits.state_qubits(state)
     qubits.check_partition(partition, n)
     masks = []
@@ -123,9 +127,7 @@ def _spin_sum(
     value = 0.0
     for term in range(0, len(moments), 3):
         value += qubits._difference_variance(*moments[term : term + 3], model)
-    return SteeringValue.of(
-        _SPIN_SUM_IDS[len(predictors)], partition, value, len(predictors) - 1
-    )
+    return SteeringValue.of(_SPIN_SUM_IDS[len(predictors)], partition, value)
 
 
 def spin_two_obs(
@@ -160,9 +162,9 @@ def genuine_tripartite_aggregate(
 ) -> GenuineSteeringReport:
     """Combine three per-target steering values into a genuine-steering report.
 
-    All values must share a criterion family (all products of uncertainties,
-    or all sums of variances) and the bound 1; mixing families would break
-    the convexity argument behind the sum bound.
+    All values must share a criterion family (CriterionId.family: all
+    products of uncertainties, or all sums of variances) and the bound 1;
+    mixing families would break the convexity argument behind the sum bound.
     """
     values = tuple(values)
     if len(values) != 3:
@@ -173,12 +175,12 @@ def genuine_tripartite_aggregate(
     ids = {v.criterion_id for v in values}
     if any(v.bound != 1.0 for v in values):
         raise ValueError("aggregation requires criteria with bound 1")
-    if not (ids <= _PRODUCT_FAMILY or ids <= _SUM_FAMILY):
+    family, *others = {i.family for i in ids}
+    if others:
         raise ValueError(
             "criterion family mismatch: values must be all products or all sums, "
             f"got {sorted(i.value for i in ids)}"
         )
-    family = "product" if ids <= _PRODUCT_FAMILY else "sum"
     ordered = tuple(sorted(values, key=lambda v: v.partition.target_site))
     total = math.fsum(v.value for v in ordered)
     notes = f"family={family}; criteria={sorted(i.value for i in ids)}"
@@ -295,7 +297,7 @@ def _spin_two_obs_scan(
             qubits.optimal_inference_variance(state, part, target, dict(zip(subset, best)))
             for target, best in zip(targets, _first_best(variances[subset], menu, len(subset)))
         )
-        out.append(SteeringValue.of(CriterionId.SPIN_SUM_2OBS, part, best_x + best_y, 1.0))
+        out.append(SteeringValue.of(CriterionId.SPIN_SUM_2OBS, part, best_x + best_y))
     return out
 
 

@@ -16,6 +16,13 @@ import numpy as np
 
 from .core import CriterionId, SitePartition, SteeringValue, as_integer, as_real, as_site, freeze
 
+__all__ = [
+    "GaussianState", "HomodynePlan", "QuadratureCombo", "beamsplitter", "combo_variance",
+    "cv_ghz", "eavesdrop_scenario", "fixed_combo_steering", "loss_channel",
+    "optimal_conditional_variance", "p_quadrature", "quadrature_combo", "random_pure_gaussian",
+    "squeeze", "steering_product_cv", "symplectic_eigenvalues", "vacuum", "x_quadrature",
+]
+
 # Eigenvalues of the measured covariance block below this are treated as zero
 # when inverting; infinite-squeezing limits produce rank-deficient blocks.
 PINV_CUTOFF = 1e-12
@@ -209,6 +216,9 @@ def eavesdrop_scenario(r: float, efficiency: float) -> GaussianState:
     return _tap(_ghz_network(5, r), efficiency)
 
 
+_COEFFICIENTS = "combination coefficients must be finite"
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureCombo:
     """Real linear combination of quadratures, one coefficient per x and p."""
@@ -219,6 +229,8 @@ class QuadratureCombo:
         coeff = np.array(self.coefficients, dtype=float)
         if coeff.ndim != 1 or coeff.size < 2 or coeff.size % 2:
             raise ValueError("coefficients must be a flat vector of length 2 * n_modes")
+        if not np.isfinite(coeff).all():
+            raise ValueError(f"{_COEFFICIENTS}, got {self.coefficients!r}")
         if not np.any(coeff):
             raise ValueError("combination must not be identically zero")
         object.__setattr__(self, "coefficients", freeze(coeff))
@@ -244,7 +256,7 @@ def quadrature_combo(
     coeff = np.zeros(2 * n_modes)
     for mapping, offset in ((x, 0), (p, 1)):
         for mode, value in (mapping or {}).items():
-            coeff[2 * (as_site(mode, n_modes) - 1) + offset] = value
+            coeff[2 * (as_site(mode, n_modes) - 1) + offset] = as_real(value, _COEFFICIENTS)
     return QuadratureCombo(coeff)
 
 
@@ -417,7 +429,7 @@ def steering_product_cv(
 def _product_value(var_x: float, var_p: float, partition: SitePartition) -> SteeringValue:
     """sqrt(var_x) * sqrt(var_p) of the partition's target mode, against 1."""
     value = math.sqrt(var_x) * math.sqrt(var_p)
-    return SteeringValue.of(CriterionId.CV_PRODUCT, partition, value, 1.0)
+    return SteeringValue.of(CriterionId.CV_PRODUCT, partition, value)
 
 
 def fixed_combo_steering(state: GaussianState, j: int, k: int, m: int) -> SteeringValue:
@@ -433,9 +445,7 @@ def fixed_combo_steering(state: GaussianState, j: int, k: int, m: int) -> Steeri
     var_x = combo_variance(state, quadrature_combo(n, x={j: 1.0, k: -1.0}))
     var_p = combo_variance(state, quadrature_combo(n, p={j: 1.0, k: 1.0, m: 1.0}))
     value = math.sqrt(var_x) * math.sqrt(var_p)
-    return SteeringValue.of(
-        CriterionId.CV_FIXED_COMBO, SitePartition(frozenset({k, m}), j), value, 1.0
-    )
+    return SteeringValue.of(CriterionId.CV_FIXED_COMBO, SitePartition(frozenset({k, m}), j), value)
 
 
 def _haar_orthosymplectic(n_modes: int, rng: np.random.Generator) -> np.ndarray:

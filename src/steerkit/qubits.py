@@ -19,6 +19,13 @@ import numpy as np
 
 from .core import SitePartition, as_integer, as_real, as_site, freeze
 
+__all__ = [
+    "MAX_QUBITS", "DensityMatrix", "DetectionModel", "PauliString", "PureState",
+    "depolarize_global", "expectation", "ghz", "ghz_predictor", "ghz_predictor_for_target",
+    "ghz_z_predictor", "inference_variance_with_loss", "optimal_inference_variance",
+    "random_density_matrix", "random_pure_state", "variance_of_difference",
+]
+
 MAX_QUBITS = 14
 
 _PAULI_LABELS = ("I", "X", "Y", "Z")
@@ -249,10 +256,11 @@ class PauliString:
         if not _LABEL_SET.issuperset(factors):
             bad = [f for f in factors if f not in _PAULI_LABELS]
             raise ValueError(f"factors must be one of I, X, Y, Z; got {bad}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
+        sign = as_integer(self.sign, "sign must be +1 or -1")
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "sign", int(self.sign))
+        object.__setattr__(self, "sign", sign)
 
     @classmethod
     def from_sites(

@@ -24,6 +24,12 @@ from .criteria import (
 from .gaussian import GaussianState, HomodynePlan, QuadratureCombo
 from .qubits import DetectionModel, PauliString
 
+__all__ = [
+    "EavesdropRecord", "SweepConfig", "ThresholdNotFoundError", "ThresholdResult",
+    "eavesdrop_sweep", "find_threshold", "run_sweep", "run_threshold_scenario",
+    "secret_sharing_demo", "simulate_shots",
+]
+
 THRESHOLD_TOLERANCE = 1e-4
 
 

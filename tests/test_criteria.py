@@ -10,6 +10,7 @@ import pytest
 from steerkit import criteria, gaussian, qubits, scenarios
 from steerkit.core import (
     STEERED_BY_COMPLEMENT,
+    TWO_OBSERVABLE_CRITERIA,
     CriterionId,
     SitePartition,
     SteeringValue,
@@ -44,8 +45,8 @@ from steerkit.qubits import (
 )
 
 
-def canonical_value(criterion, group, target, value, bound=1.0):
-    return SteeringValue.of(criterion, SitePartition(frozenset(group), target), value, bound)
+def canonical_value(criterion, group, target, value):
+    return SteeringValue.of(criterion, SitePartition(frozenset(group), target), value)
 
 
 class TestCoreTypes:
@@ -88,19 +89,60 @@ class TestCoreTypes:
     def test_steering_value_rejects_odd_bound(self):
         part = SitePartition(frozenset({1, 2}), 3)
         with pytest.raises(ValueError):
-            SteeringValue.of(CriterionId.SPIN_SUM_2OBS, part, 0.5, 3.0)
+            SteeringValue(CriterionId.SPIN_SUM_2OBS, part, 0.5, 3.0, True)
+
+    @pytest.mark.parametrize(
+        "criterion, group, target, value, bound, verdict",
+        [
+            (CriterionId.CV_PRODUCT, [2], 1, 1.5, 2.0, True),
+            (CriterionId.SPIN_SUM_3OBS, [1, 2], 3, 1.5, 1.0, False),
+            (CriterionId.SPIN_SUM_2OBS, [1, 2], 3, 1.5, 2.0, True),
+            (CriterionId.CV_FIXED_COMBO, [2, 3], 1, 0.5, 2.0, True),
+        ],
+    )
+    def test_steering_value_refuses_a_bound_not_its_criterions(
+        self, criterion, group, target, value, bound, verdict
+    ):
+        with pytest.raises(ValueError, match=f"^bound of {criterion.value} is "):
+            SteeringValue(criterion, partition(group, target), value, bound, verdict)
+
+    def test_of_takes_each_criterions_bound_from_the_table(self):
+        bounds = {criterion: criterion.bound for criterion in CriterionId}
+        assert bounds == {
+            CriterionId.CV_PRODUCT: 1.0,
+            CriterionId.SPIN_SUM_2OBS: 1.0,
+            CriterionId.SPIN_SUM_3OBS: 2.0,
+            CriterionId.CV_FIXED_COMBO: 1.0,
+        }
+        for criterion, bound in bounds.items():
+            value = SteeringValue.of(criterion, partition([2], 1), 1.5)
+            assert value.bound == bound
+            assert value.verdict == (bound == 2.0)
+
+    def test_two_observable_criteria_are_the_bound_one_criteria(self):
+        assert TWO_OBSERVABLE_CRITERIA == {
+            CriterionId.CV_PRODUCT,
+            CriterionId.SPIN_SUM_2OBS,
+            CriterionId.CV_FIXED_COMBO,
+        }
+        assert {c.family for c in CriterionId} == {"product", "sum"}
+        assert CriterionId.CV_FIXED_COMBO.family == CriterionId.CV_PRODUCT.family
+
+    def test_of_refuses_what_is_not_a_criterion(self):
+        with pytest.raises(ValueError, match="^criterion_id must be a CriterionId$"):
+            SteeringValue.of("cv-product", partition([2], 1), 0.5)
 
     def test_steering_value_rejects_negative_value(self):
         part = SitePartition(frozenset({1, 2}), 3)
         with pytest.raises(ValueError):
-            SteeringValue.of(CriterionId.SPIN_SUM_2OBS, part, -0.5, 1.0)
+            SteeringValue.of(CriterionId.SPIN_SUM_2OBS, part, -0.5)
 
     def test_boundary_value_is_not_a_violation(self):
         value = canonical_value(CriterionId.CV_PRODUCT, {2, 3}, 1, 1.0)
         assert not value.verdict
 
     def test_to_dict_round_trip_fields(self):
-        value = canonical_value(CriterionId.SPIN_SUM_3OBS, {1, 2}, 3, 1.5, bound=2.0)
+        value = canonical_value(CriterionId.SPIN_SUM_3OBS, {1, 2}, 3, 1.5)
         data = value.to_dict()
         assert data["criterion"] == "spin-sum-3obs"
         assert data["group"] == [1, 2]
@@ -368,9 +410,9 @@ class TestGenuineAggregate:
 
     def test_rejects_three_obs_bound(self):
         values = [
-            canonical_value(CriterionId.SPIN_SUM_3OBS, {2, 3}, 1, 0.4, bound=2.0),
-            canonical_value(CriterionId.SPIN_SUM_3OBS, {1, 3}, 2, 0.4, bound=2.0),
-            canonical_value(CriterionId.SPIN_SUM_3OBS, {1, 2}, 3, 0.4, bound=2.0),
+            canonical_value(CriterionId.SPIN_SUM_3OBS, {2, 3}, 1, 0.4),
+            canonical_value(CriterionId.SPIN_SUM_3OBS, {1, 3}, 2, 0.4),
+            canonical_value(CriterionId.SPIN_SUM_3OBS, {1, 2}, 3, 0.4),
         ]
         with pytest.raises(ValueError):
             genuine_tripartite_aggregate(values)
@@ -413,8 +455,8 @@ class TestMonogamy:
             monogamy_check(a, c)
 
     def test_rejects_three_observable_criterion(self):
-        a = canonical_value(CriterionId.SPIN_SUM_3OBS, {2}, 1, 0.5, bound=2.0)
-        c = canonical_value(CriterionId.SPIN_SUM_3OBS, {3}, 1, 2.0, bound=2.0)
+        a = canonical_value(CriterionId.SPIN_SUM_3OBS, {2}, 1, 0.5)
+        c = canonical_value(CriterionId.SPIN_SUM_3OBS, {3}, 1, 2.0)
         with pytest.raises(ValueError):
             monogamy_check(a, c)
 

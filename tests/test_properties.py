@@ -5,11 +5,17 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from steerkit import gaussian, qubits
 from steerkit.cli import UsageError, _parse_eta_grid
-from steerkit.core import BOUNDARY_TOLERANCE, CriterionId, SitePartition, SteeringValue
+from steerkit.core import (
+    BOUNDARY_TOLERANCE,
+    CriterionId,
+    SitePartition,
+    SteeringValue,
+    below_bound,
+)
 from steerkit.criteria import (
     CvScanConfig,
     collective_scan,
@@ -58,13 +64,19 @@ class TestSteeringValueInvariant:
         value=st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
         bound=st.sampled_from([1.0, 2.0]),
     )
-    def test_verdict_is_strict_comparison(self, value, bound):
+    # within the guard (not below the bound), and just outside it (below)
+    @example(value=1.0 - 5e-10, bound=1.0)
+    @example(value=2.0 - 5e-10, bound=2.0)
+    @example(value=1.0 - 2e-9, bound=1.0)
+    @example(value=2.0 - 2e-9, bound=2.0)
+    def test_verdict_is_below_bound(self, value, bound):
         part = SitePartition(frozenset({1, 2}), 3)
         criterion = (
             CriterionId.SPIN_SUM_3OBS if bound == 2.0 else CriterionId.SPIN_SUM_2OBS
         )
-        steering = SteeringValue.of(criterion, part, value, bound)
-        assert steering.verdict == (value < bound)
+        steering = SteeringValue.of(criterion, part, value)
+        assert steering.bound == bound
+        assert steering.verdict == below_bound(value, bound)
 
     @given(st.floats(min_value=0.05, max_value=0.95))
     @settings(max_examples=25, deadline=None)

@@ -15,6 +15,7 @@ from steerkit import (
     DetectionModel,
     HomodynePlan,
     PauliString,
+    QuadratureCombo,
     SitePartition,
     SweepConfig,
     beamsplitter,
@@ -133,6 +134,7 @@ def test_counts_accept_numpy_integers(name):
 UNIT = "must lie in [0, 1]"
 SQUEEZING = "squeezing strength must be finite and non-negative"
 ANGLE = "squeezing angle must be finite"
+COEFFICIENTS = "combination coefficients must be finite"
 # Each call puts `x` in one real slot for which 0.5 and 1 are valid: its
 # message, and its bounds, None where the slot has none but finiteness.
 REAL_CALLS = {
@@ -179,6 +181,8 @@ REAL_CALLS = {
         lambda x: find_threshold(lambda v: v > -0.5, (-1.0, x)),
         "bracket ends must be finite", None, None,
     ),
+    "quadrature_combo-x": (lambda x: quadrature_combo(3, x={1: x}), COEFFICIENTS, None, None),
+    "quadrature_combo-p": (lambda x: quadrature_combo(3, p={2: x}), COEFFICIENTS, None, None),
 }
 
 
@@ -210,3 +214,25 @@ def test_as_real_returns_python_floats():
     for bad in (10**400, np.bool_(True), None, 1j, math.nextafter(1.0, 2.0)):
         with pytest.raises(ValueError, match=r"^real in \[0, 1\], got "):
             as_real(bad, "real in [0, 1]", 0.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_combo_array_refuses_coefficients_that_are_not_finite(bad):
+    with pytest.raises(ValueError, match=f"^{re.escape(COEFFICIENTS)}, got array"):
+        QuadratureCombo(np.array([1.0, 0.0, bad, 0.0]))
+
+
+def test_combo_coefficient_beyond_the_float_range_is_refused():
+    with pytest.raises(ValueError, match=f"^{re.escape(COEFFICIENTS)}, got 1000"):
+        quadrature_combo(3, x={1: 10**400})
+
+
+@pytest.mark.parametrize("bad", [True, -1.0, 1.0, "1", 0, 2])
+def test_pauli_sign_is_an_integer_plus_or_minus_one(bad):
+    with pytest.raises(ValueError, match=rf"^sign must be \+1 or -1, got {re.escape(repr(bad))}$"):
+        PauliString(("X",), bad)
+
+
+def test_pauli_sign_accepts_numpy_integers():
+    string = PauliString(("X",), np.int64(-1))
+    assert string.sign == -1 and type(string.sign) is int

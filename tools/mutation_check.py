@@ -186,6 +186,48 @@ MUTATIONS = (
         "",
         ("tests/test_site_rule.py::test_real_rule_refuses",),
     ),
+    Mutation(
+        "bound-from-caller",
+        "src/steerkit/core.py",
+        "value, bound = float(value), CRITERION_TABLE[criterion_id][0]",
+        "value, bound = float(value), 1.0",
+        (
+            "tests/test_criteria.py::TestCoreTypes::test_of_takes_each_criterions_bound_from_the_table",
+            "tests/test_criteria.py::TestCoreTypes::test_to_dict_round_trip_fields",
+            "tests/test_properties.py::TestSteeringValueInvariant::test_verdict_is_below_bound",
+        ),
+    ),
+    Mutation(
+        "bound-check-dropped",
+        "src/steerkit/core.py",
+        """        if self.bound != CRITERION_TABLE[self.criterion_id][0]:
+            raise ValueError(
+                f"bound of {self.criterion_id.value} is {self.criterion_id.bound}, got {self.bound}"
+            )
+""",
+        "",
+        (
+            "tests/test_criteria.py::TestCoreTypes::test_steering_value_refuses_a_bound_not_its_criterions",
+            "tests/test_criteria.py::TestCoreTypes::test_steering_value_rejects_odd_bound",
+        ),
+    ),
+    Mutation(
+        "combo-coefficients-unchecked",
+        "src/steerkit/gaussian.py",
+        "+ offset] = as_real(value, _COEFFICIENTS)",
+        "+ offset] = value",
+        (
+            "tests/test_site_rule.py::test_real_rule_refuses",
+            "tests/test_site_rule.py::test_combo_coefficient_beyond_the_float_range_is_refused",
+        ),
+    ),
+    Mutation(
+        "pauli-sign-unchecked",
+        "src/steerkit/qubits.py",
+        'sign = as_integer(self.sign, "sign must be +1 or -1")',
+        "sign = self.sign",
+        ("tests/test_site_rule.py::test_pauli_sign_is_an_integer_plus_or_minus_one",),
+    ),
 )
 
 
