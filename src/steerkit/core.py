@@ -6,6 +6,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable
 
 import numpy as np
@@ -94,6 +95,20 @@ def as_real(value, requirement: str, low: float = -math.inf, high: float = math.
     raise ValueError(f"{requirement}, got {value!r}")
 
 
+def as_array(value, requirement: str, dtype: type = float) -> np.ndarray:
+    """value as a new finite ndarray of dtype, float or complex.  A bool,
+    string, bytes or object array (a Python int beyond the float range makes
+    one), a complex one where dtype is float, or a NaN or infinite entry
+    raises ValueError(requirement)."""
+    array = np.asarray(value)
+    if array.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
+        raise ValueError(f"{requirement}, got dtype {array.dtype}")
+    out = np.array(array, dtype=dtype)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{requirement}, got {array!r}")
+    return out
+
+
 def as_site(site, n: int | None = None) -> int:
     """A site (or mode) index as a Python int (see as_integer) in 1..n, or
     at least 1 when n is None; anything else raises ValueError."""
@@ -131,6 +146,18 @@ class SitePartition:
 def partition(steering_group: Iterable[int], target_site: int) -> SitePartition:
     """Convenience constructor accepting any iterable of sites."""
     return SitePartition(frozenset(steering_group), target_site)
+
+
+def subset_partitions(partition: SitePartition) -> list[SitePartition]:
+    """The partition, then each nonempty proper subset of its group steering
+    the same target, by size in itertools.combinations order of the sites:
+    the order in which every collective scan returns its values."""
+    sites = sorted(partition.steering_group)
+    return [partition] + [
+        SitePartition(frozenset(subset), partition.target_site)
+        for size in range(1, len(sites))
+        for subset in combinations(sites, size)
+    ]
 
 
 # Each of the sites 1, 2, 3 steered by the other two, in site order.

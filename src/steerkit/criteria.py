@@ -4,10 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence, Union
-
-import numpy as np
 
 from . import gaussian, qubits
 from .core import (
@@ -208,7 +205,8 @@ def monogamy_check(s_ba: SteeringValue, s_bc: SteeringValue) -> MonogamyResult:
 
 @dataclass(frozen=True)
 class QubitScanConfig:
-    """Finite menu of per-site Pauli settings for subset evaluation."""
+    """Finite menu of per-site Pauli settings for subset evaluation; a scan
+    past qubits.QUBIT_SCAN_BUDGET is refused before any work."""
 
     settings_menu: tuple[str, ...] = ("X", "Y", "Z")
 
@@ -218,6 +216,9 @@ class QubitScanConfig:
             raise ValueError("settings menu must be a non-empty subset of X, Y, Z")
         object.__setattr__(self, "settings_menu", menu)
 
+    def _subset_values(self, state: qubits.State, partition: SitePartition) -> list[SteeringValue]:
+        return qubits.subset_values(state, partition, self.settings_menu)
+
 
 @dataclass(frozen=True)
 class CvScanConfig:
@@ -225,7 +226,7 @@ class CvScanConfig:
 
     A subset of j modes tries the n_angles ** j plans on the grid
     k * pi / n_angles, all from one walk over the k-mode group that measures
-    or skips each mode (gaussian._grid_variances).  max_combinations caps its
+    or skips each mode (gaussian.subset_values).  max_combinations caps its
     (n_angles + 1) ** k - 1 plans, before any work.  The largest admitted
     scans took under 0.1 s up to k = 13, and 2.6 s and 133 MiB, mostly the
     2 ** k - 1 values returned, at k = 17 and one angle (see README)."""
@@ -240,104 +241,11 @@ class CvScanConfig:
         object.__setattr__(self, "n_angles", n_angles)
         object.__setattr__(self, "max_combinations", cap)
 
+    def _subset_values(self, state: GaussianState, partition: SitePartition) -> list[SteeringValue]:
+        return gaussian.subset_values(state, partition, self.n_angles, self.max_combinations)
+
 
 ScanConfig = Union[QubitScanConfig, CvScanConfig]
-
-
-# A qubit scan is refused, before any work, when its subsets together would
-# rotate more than this many amplitudes if each rotated the state itself:
-# r * 2^n for a state of r ensemble components (1 for a pure state, at most
-# the rank for a mixed one; white noise is not rotated) for each of the
-# (len(menu) + 1) ** k - 1 assignments of all nonempty subsets of a k-site
-# group.  A scan rotates only the full group's len(menu) ** k assignments
-# and reads every subset from its outcome table, so the budget over-counts;
-# it is kept so that exactly the same scans are admitted as before.  The
-# largest admitted GHZ scan (n = 10, 9-site group) takes 2-4 s on one 2-vCPU
-# machine with one BLAS thread.
-QUBIT_SCAN_BUDGET = 1 << 28
-
-
-def _qubit_scan_cost(state: qubits.State, group_size: int, menu_size: int) -> int:
-    """State entries rotated by a collective scan of a group of that size."""
-    return qubits._ensemble(state)[0].size * ((menu_size + 1) ** group_size - 1)
-
-
-def _first_best(variances: np.ndarray, menu: Sequence, width: int) -> list:
-    """Menu entries of the first minimal assignment, in itertools.product
-    order over `width` sites, for each row of variances."""
-    rows = np.argmin(variances.reshape(len(variances), -1), axis=1)
-    return [[menu[i] for i in row] for row in zip(*np.unravel_index(rows, (len(menu),) * width))]
-
-
-def _subset_partitions(partition: SitePartition) -> list[SitePartition]:
-    """The partition, then each nonempty proper subset of its group steering
-    the same target, by size in itertools.combinations order of the sites."""
-    sites = sorted(partition.steering_group)
-    return [partition] + [
-        SitePartition(frozenset(subset), partition.target_site)
-        for size in range(1, len(sites))
-        for subset in combinations(sites, size)
-    ]
-
-
-def _spin_two_obs_scan(
-    state: qubits.State, partition: SitePartition, config: QubitScanConfig
-) -> list[SteeringValue]:
-    """Best two-observable spin value over the settings menu for each of
-    _subset_partitions; each inference variance is minimized independently,
-    and the values come from optimal_inference_variance at the first argmin."""
-    menu = config.settings_menu
-    n = qubits.state_qubits(state)
-    targets = [PauliString.single(n, partition.target_site, label) for label in "XY"]
-    variances = qubits._subset_variances(state, partition, targets, menu)
-    out = []
-    for part in _subset_partitions(partition):
-        subset = tuple(sorted(part.steering_group))
-        best_x, best_y = (
-            qubits.optimal_inference_variance(state, part, target, dict(zip(subset, best)))
-            for target, best in zip(targets, _first_best(variances[subset], menu, len(subset)))
-        )
-        out.append(SteeringValue.of(CriterionId.SPIN_SUM_2OBS, part, best_x + best_y))
-    return out
-
-
-def _cv_product_scan(
-    state: GaussianState, partition: SitePartition, config: CvScanConfig
-) -> list[SteeringValue]:
-    """Best product value over the homodyne-angle grid, with optimal gains,
-    for each of _subset_partitions; each value is the minimum over the
-    subset's plans in the full group's walk."""
-    modes = sorted(partition.steering_group)
-    n_plans = (config.n_angles + 1) ** len(modes) - 1
-    if n_plans > config.max_combinations:
-        raise ValueError(
-            f"angle grid has {n_plans} plans over all subsets, more than "
-            f"max_combinations = {config.max_combinations}; coarsen the grid or shrink the group"
-        )
-    n, target_mode = state.n_modes, partition.target_site
-    targets = [gaussian.x_quadrature(n, target_mode), gaussian.p_quadrature(n, target_mode)]
-    best = gaussian._grid_variances(state, targets, modes, config.n_angles)
-    # fold each mode's axis, last mode first, into (min over its angles, skipped)
-    for _ in modes:
-        best = np.stack([best[..., :-1].min(axis=-1), best[..., -1]], axis=1)
-    best = best.reshape(len(targets), -1)
-    out = []
-    for part in _subset_partitions(partition):
-        group = part.steering_group
-        skipped = sum(1 << (len(modes) - 1 - i) for i, m in enumerate(modes) if m not in group)
-        out.append(gaussian._product_value(*best[:, skipped], part))
-    return out
-
-
-def _default_config(state: AnyState, config: ScanConfig | None) -> ScanConfig:
-    if config is None:
-        return CvScanConfig() if isinstance(state, GaussianState) else QubitScanConfig()
-    expected = CvScanConfig if isinstance(state, GaussianState) else QubitScanConfig
-    if not isinstance(config, expected):
-        raise ValueError(
-            f"config type {type(config).__name__} does not match the state backend"
-        )
-    return config
 
 
 def collective_scan(
@@ -354,18 +262,11 @@ def collective_scan(
     a subset failure means no strategy in the menu steers the target.
     """
     partition = SitePartition(frozenset(full_group), target_site)
-    config = _default_config(state, config)
-    if isinstance(config, QubitScanConfig):
-        cost = _qubit_scan_cost(state, len(partition.steering_group), len(config.settings_menu))
-        if cost > QUBIT_SCAN_BUDGET:
-            raise ValueError(
-                f"qubit scan would rotate {cost} state entries, more than "
-                f"QUBIT_SCAN_BUDGET = {QUBIT_SCAN_BUDGET}; shrink the group, the menu "
-                f"or the state"
-            )
-        full_value, *subsets = _spin_two_obs_scan(state, partition, config)
-    else:
-        full_value, *subsets = _cv_product_scan(state, partition, config)
+    expected = CvScanConfig if isinstance(state, GaussianState) else QubitScanConfig
+    config = expected() if config is None else config
+    if not isinstance(config, expected):
+        raise ValueError(f"config type {type(config).__name__} does not match the state backend")
+    full_value, *subsets = config._subset_values(state, partition)
     return CollectiveSteeringReport(
         full_value, tuple(subsets), _only_full_group_steers(full_value, subsets)
     )

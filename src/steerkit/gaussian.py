@@ -14,7 +14,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import CriterionId, SitePartition, SteeringValue, as_integer, as_real, as_site, freeze
+from .core import (
+    CriterionId, SitePartition, SteeringValue, as_array, as_integer, as_real, as_site, freeze,
+    subset_partitions,
+)
 
 __all__ = [
     "GaussianState", "HomodynePlan", "QuadratureCombo", "beamsplitter", "combo_variance",
@@ -47,9 +50,12 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a covariance matrix (each value listed once)."""
-    cov = np.asarray(cov, dtype=float)
-    n = cov.shape[0] // 2
-    eigs = np.linalg.eigvals(1j * symplectic_form(n) @ cov)
+    return _symplectic_spectrum(as_array(cov, "covariance entries must be finite real numbers"))
+
+
+def _symplectic_spectrum(cov: np.ndarray) -> np.ndarray:
+    """symplectic_eigenvalues of a float covariance already checked."""
+    eigs = np.linalg.eigvals(1j * symplectic_form(cov.shape[0] // 2) @ cov)
     return np.sort(np.abs(eigs))[::2]
 
 
@@ -61,17 +67,15 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self) -> None:
-        mean = np.array(self.mean, dtype=float)
-        cov = np.array(self.cov, dtype=float)
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise ValueError("mean and covariance must be finite")
+        requirement = "mean and covariance must be finite real numbers"
+        mean, cov = as_array(self.mean, requirement), as_array(self.cov, requirement)
         if mean.ndim != 1 or mean.size < 2 or mean.size % 2:
             raise ValueError("mean must be a flat vector of length 2 * n_modes")
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape must match the mean vector")
         if np.abs(cov - cov.T).max() > 1e-10:
             raise ValueError("covariance must be symmetric within 1e-10")
-        if symplectic_eigenvalues(cov).min() < 1.0 - _PHYSICALITY_TOLERANCE:
+        if _symplectic_spectrum(cov).min() < 1.0 - _PHYSICALITY_TOLERANCE:
             raise ValueError(
                 "covariance violates the uncertainty principle "
                 "(symplectic eigenvalue below 1)"
@@ -226,11 +230,9 @@ class QuadratureCombo:
     coefficients: np.ndarray
 
     def __post_init__(self) -> None:
-        coeff = np.array(self.coefficients, dtype=float)
+        coeff = as_array(self.coefficients, _COEFFICIENTS)
         if coeff.ndim != 1 or coeff.size < 2 or coeff.size % 2:
             raise ValueError("coefficients must be a flat vector of length 2 * n_modes")
-        if not np.isfinite(coeff).all():
-            raise ValueError(f"{_COEFFICIENTS}, got {self.coefficients!r}")
         if not np.any(coeff):
             raise ValueError("combination must not be identically zero")
         object.__setattr__(self, "coefficients", freeze(coeff))
@@ -393,6 +395,34 @@ def _grid_variances(
     variances = np.diagonal(cov, axis1=1, axis2=2)[:, None, 2:] - rest**2 * inverse[..., None]
     shape = (len(targets),) + cos.shape * len(modes)
     return np.maximum(np.moveaxis(variances, -1, 0), 0.0).reshape(shape)
+
+
+def subset_values(
+    state: GaussianState, partition: SitePartition, n_angles: int, max_combinations: int
+) -> list[SteeringValue]:
+    """Best product value over the angle grid k * pi / n_angles, with optimal
+    gains, for each of core.subset_partitions after the max_combinations check:
+    the minimum over the subset's plans in the group's one _grid_variances walk."""
+    modes = sorted(partition.steering_group)
+    n_plans = (n_angles + 1) ** len(modes) - 1
+    if n_plans > max_combinations:
+        raise ValueError(
+            f"angle grid has {n_plans} plans over all subsets, more than "
+            f"max_combinations = {max_combinations}; coarsen the grid or shrink the group"
+        )
+    n, target_mode = state.n_modes, partition.target_site
+    targets = [x_quadrature(n, target_mode), p_quadrature(n, target_mode)]
+    best = _grid_variances(state, targets, modes, n_angles)
+    # fold each mode's axis, last mode first, into (min over its angles, skipped)
+    for _ in modes:
+        best = np.stack([best[..., :-1].min(axis=-1), best[..., -1]], axis=1)
+    best = best.reshape(len(targets), -1)
+    out = []
+    for part in subset_partitions(partition):
+        group = part.steering_group
+        skipped = sum(1 << (len(modes) - 1 - i) for i, m in enumerate(modes) if m not in group)
+        out.append(_product_value(*best[:, skipped], part))
+    return out
 
 
 def optimal_conditional_variance(

@@ -17,7 +17,10 @@ from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .core import SitePartition, as_integer, as_real, as_site, freeze
+from .core import (
+    CriterionId, SitePartition, SteeringValue, as_array, as_integer, as_real, as_site, freeze,
+    subset_partitions,
+)
 
 __all__ = [
     "MAX_QUBITS", "DensityMatrix", "DetectionModel", "PauliString", "PureState",
@@ -95,10 +98,8 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amp = np.array(self.amplitudes, dtype=complex)
-        # every check below compares with >, which is false for NaN
-        if not np.isfinite(amp).all():
-            raise ValueError("amplitudes must be finite")
+        # finite, since every check below compares with >, which is false for NaN
+        amp = as_array(self.amplitudes, "amplitudes must be finite complex numbers", complex)
         if amp.ndim != 1 or not _power_of_two_dim(amp.size):
             raise ValueError("amplitude vector length must be a power of two, at least 2")
         _check_n_qubits(amp.size.bit_length() - 1)
@@ -149,9 +150,7 @@ class DensityMatrix:
                 f"DENSE_EIGH_MAX_DIM = {DENSE_EIGH_MAX_DIM}; build larger mixed states as "
                 f"ensembles (depolarize_global, random_density_matrix)"
             )
-        mat = np.array(matrix, dtype=complex)
-        if not np.isfinite(mat).all():
-            raise ValueError("density matrix entries must be finite")
+        mat = as_array(matrix, "density matrix entries must be finite complex numbers", complex)
         if np.abs(mat - mat.conj().T).max() > 1e-10:
             raise ValueError("density matrix must be Hermitian within 1e-10")
         trace = mat.trace()
@@ -836,6 +835,48 @@ def optimal_inference_variance(
     """
     menus = {site: (label,) for site, label in settings.items()}
     return float(_table_variances(*_outcome_tables(state, partition, (target,), menus))[0, 0])
+
+
+# A qubit scan is refused, before any work, past this many amplitudes: the
+# r * 2^n entries of an r-component state (white noise is not rotated) times
+# the (len(menu) + 1) ** k - 1 assignments of all subsets of a k-site group.
+# Only the group's len(menu) ** k rotate, so this over-counts, to admit the
+# same scans as when each subset rotated the state.  The largest admitted GHZ
+# scan (n = 10, 9 sites) takes 2-4 s on one 2-vCPU machine, one BLAS thread.
+QUBIT_SCAN_BUDGET = 1 << 28
+
+
+def _scan_cost(state: State, group_size: int, menu_size: int) -> int:
+    """State entries rotated by a collective scan of a group of that size."""
+    return _ensemble(state)[0].size * ((menu_size + 1) ** group_size - 1)
+
+
+def subset_values(
+    state: State, partition: SitePartition, menu: Sequence[str]
+) -> list[SteeringValue]:
+    """Best two-observable spin value over the menu for each of
+    core.subset_partitions, after the QUBIT_SCAN_BUDGET check; each variance is
+    optimal_inference_variance's at its first minimum in itertools.product order."""
+    cost = _scan_cost(state, len(partition.steering_group), len(menu))
+    if cost > QUBIT_SCAN_BUDGET:
+        raise ValueError(
+            f"qubit scan would rotate {cost} state entries, more than QUBIT_SCAN_BUDGET = "
+            f"{QUBIT_SCAN_BUDGET}; shrink the group, the menu or the state"
+        )
+    n = state_qubits(state)
+    targets = [PauliString.single(n, partition.target_site, label) for label in "XY"]
+    variances = _subset_variances(state, partition, targets, menu)
+    out = []
+    for part in subset_partitions(partition):
+        subset = tuple(sorted(part.steering_group))
+        firsts = np.argmin(variances[subset].reshape(len(targets), -1), axis=1)
+        picks = zip(*np.unravel_index(firsts, (len(menu),) * len(subset)))
+        best_x, best_y = (
+            optimal_inference_variance(state, part, t, {s: menu[i] for s, i in zip(subset, pick)})
+            for t, pick in zip(targets, picks)
+        )
+        out.append(SteeringValue.of(CriterionId.SPIN_SUM_2OBS, part, best_x + best_y))
+    return out
 
 
 def random_pure_state(n: int, rng: np.random.Generator) -> PureState:

@@ -203,7 +203,7 @@ class SecretSharingReport:
 
 def secret_sharing_demo(backend: str, n: int = 3, r: float = 1.0) -> SecretSharingReport:
     """Verify that each target is steered only by the full complement group."""
-    if n != 3:
+    if as_integer(n, "n must be an integer") != 3:
         raise ValueError("only the tripartite demonstration is supported")
     if backend == "qubit":
         state: criteria.AnyState = qubits.ghz(3)

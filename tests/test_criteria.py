@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from steerkit import criteria, gaussian, qubits, scenarios
+from steerkit import core, criteria, gaussian, qubits, scenarios
 from steerkit.core import (
     STEERED_BY_COMPLEMENT,
     TWO_OBSERVABLE_CRITERIA,
@@ -596,10 +596,10 @@ class TestCollectiveScan:
         for state, entries in ((ghz(4), 16), (depolarize_global(ghz(4), 0.5), 16)):
             for menu_size in (1, 2, 3):
                 subsets = sum(menu_size**j * math.comb(3, j) for j in range(1, 4))
-                cost = criteria._qubit_scan_cost(state, 3, menu_size)
+                cost = qubits._scan_cost(state, 3, menu_size)
                 assert cost == entries * subsets
-        # the largest admitted GHZ scan: about 33 s on a 2-vCPU machine
-        assert criteria._qubit_scan_cost(ghz(10), 9, 3) <= criteria.QUBIT_SCAN_BUDGET
+        # the largest admitted GHZ scan: 2.2-3.5 s on a 2-vCPU machine (README)
+        assert qubits._scan_cost(ghz(10), 9, 3) <= qubits.QUBIT_SCAN_BUDGET
 
     @pytest.mark.parametrize("n, mixed", [(11, False), (8, True)])
     def test_qubit_scan_budget_refuses_before_any_work(self, monkeypatch, n, mixed):
@@ -614,6 +614,35 @@ class TestCollectiveScan:
         monkeypatch.setattr(qubits, "_outcome_tables", started)
         with pytest.raises(ValueError, match="QUBIT_SCAN_BUDGET"):
             collective_scan(state, n, range(1, n))
+
+    @pytest.mark.parametrize(
+        "refused, message",
+        [
+            (lambda: collective_scan(ghz(11), 11, range(1, 11)), "QUBIT_SCAN_BUDGET"),
+            (
+                lambda: collective_scan(vacuum(19), 19, range(1, 19), CvScanConfig(1)),
+                "max_combinations = 200000",
+            ),
+            (
+                lambda: collective_scan(ghz(3), 3, {1, 2}, CvScanConfig()),
+                "config type CvScanConfig does not match the state backend",
+            ),
+        ],
+        ids=["qubit-budget", "cv-cap", "config-type"],
+    )
+    def test_refusals_come_before_any_subset_partition(self, monkeypatch, refused, message):
+        def built(*args, **kwargs):
+            raise AssertionError("the scan built a subset partition")
+
+        for module in (core, qubits, gaussian):
+            monkeypatch.setattr(module, "subset_partitions", built)
+        with pytest.raises(ValueError, match=message):
+            refused()
+        # an admitted scan of either backend does reach the patched helper
+        for admitted in (lambda: collective_scan(ghz(3), 3, {1, 2}),
+                         lambda: collective_scan(cv_ghz(1.0), 1, {2, 3}, CvScanConfig(2))):
+            with pytest.raises(AssertionError, match="subset partition"):
+                admitted()
 
     def test_cv_scan_values_come_from_the_grid_walk(self, monkeypatch):
         def solved(*args, **kwargs):

@@ -1,6 +1,7 @@
 """End-to-end scenarios: thresholds, secret sharing, eavesdropping, sampling."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -138,6 +139,14 @@ class TestSecretSharing:
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
             secret_sharing_demo("trapped-ion", 3)
+
+    @pytest.mark.parametrize("n", [3.0, "3", True])
+    def test_party_count_passes_the_integer_rule(self, n):
+        with pytest.raises(ValueError, match=rf"^n must be an integer, got {re.escape(repr(n))}$"):
+            secret_sharing_demo("qubit", n)
+
+    def test_party_count_accepts_numpy_integers(self):
+        assert secret_sharing_demo("qubit", np.int64(3)).all_collective
 
 
 class TestEavesdropSweep:

@@ -1,7 +1,9 @@
-"""Every public function that takes a site, a mode, a count or a real
-parameter checks it by one rule.  A site, mode or count is an integer but a
-bool (numpy integers pass), within its range.  A real parameter is a real
-number but a bool (numpy floats and ints pass), finite and within its range."""
+"""Every public function that takes a site, a mode, a count, a real
+parameter or an array of numbers checks it by one rule.  A site, mode or
+count is an integer but a bool (numpy integers pass), within its range.  A
+real parameter is a real number but a bool (numpy floats and ints pass),
+finite and within its range.  An array holds integers or floats, or complex
+numbers where the slot is complex; never bools, strings, bytes or objects."""
 
 import math
 import re
@@ -12,9 +14,12 @@ import pytest
 
 from steerkit import (
     CvScanConfig,
+    DensityMatrix,
     DetectionModel,
+    GaussianState,
     HomodynePlan,
     PauliString,
+    PureState,
     QuadratureCombo,
     SitePartition,
     SweepConfig,
@@ -37,10 +42,11 @@ from steerkit import (
     random_pure_state,
     squeeze,
     steering_product_cv,
+    symplectic_eigenvalues,
     vacuum,
     x_quadrature,
 )
-from steerkit.core import as_real
+from steerkit.core import as_array, as_real
 from steerkit.gaussian import beamsplitter_matrix, squeeze_matrix
 from steerkit.qubits import check_partition
 
@@ -236,3 +242,59 @@ def test_pauli_sign_is_an_integer_plus_or_minus_one(bad):
 def test_pauli_sign_accepts_numpy_integers():
     string = PauliString(("X",), np.int64(-1))
     assert string.sign == -1 and type(string.sign) is int
+
+
+AMPLITUDES = "amplitudes must be finite complex numbers"
+DENSITY = "density matrix entries must be finite complex numbers"
+MOMENTS = "mean and covariance must be finite real numbers"
+# Each case puts an array of dtype `dtype` into one array slot: the slot's message.
+ARRAY_CASES = {
+    "PureState-str": (lambda: PureState(["1", "0"]), AMPLITUDES, "<U1"),
+    "PureState-bool": (lambda: PureState([True, False]), AMPLITUDES, "bool"),
+    "PureState-beyond-float": (lambda: PureState([10**400, 0]), AMPLITUDES, "object"),
+    "DensityMatrix-str": (lambda: DensityMatrix([["1", "0"], ["0", "0"]]), DENSITY, "<U1"),
+    "GaussianState-str": (
+        lambda: GaussianState(["0", "0"], [["1", "0"], ["0", "1"]]), MOMENTS, "<U1"
+    ),
+    "GaussianState-complex": (
+        lambda: GaussianState(np.array([1j, 0]), np.eye(2)), MOMENTS, "complex128"
+    ),
+    "GaussianState-beyond-float": (
+        lambda: GaussianState([10**400, 0], np.eye(2)), MOMENTS, "object"
+    ),
+    "QuadratureCombo-str": (lambda: QuadratureCombo(["1", 0.0]), COEFFICIENTS, "<U32"),
+    "QuadratureCombo-bool": (lambda: QuadratureCombo([True, False]), COEFFICIENTS, "bool"),
+    "QuadratureCombo-complex": (
+        lambda: QuadratureCombo(np.array([1 + 2j, 0])), COEFFICIENTS, "complex128"
+    ),
+    "QuadratureCombo-beyond-float": (
+        lambda: QuadratureCombo([10**400, 0.0]), COEFFICIENTS, "object"
+    ),
+    "symplectic_eigenvalues-str": (
+        lambda: symplectic_eigenvalues([["1", "0"], ["0", "1"]]),
+        "covariance entries must be finite real numbers", "<U1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_CASES)
+def test_array_rule_refuses(name):
+    call, message, dtype = ARRAY_CASES[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}, got dtype {re.escape(dtype)}$"):
+        call()
+
+
+def test_array_rule_accepts_integers_and_floats_of_any_width():
+    assert PureState(np.array([1, 0], dtype=np.int8)).amplitudes.dtype == complex
+    assert GaussianState([0, 0], [[1, 0], [0, 1]]).cov.dtype == float
+    combo = QuadratureCombo(np.array([1.0, 0.0], dtype=np.float32))
+    assert combo.coefficients.dtype == float
+    np.testing.assert_allclose(symplectic_eigenvalues([[1, 0], [0, 1]]), [1.0])
+
+
+def test_array_rule_copies():
+    amplitudes = np.array([1.0, 0.0], dtype=complex)
+    state = PureState(amplitudes)
+    assert amplitudes.flags.writeable and state.amplitudes is not amplitudes
+    floats = np.eye(2)
+    assert as_array(floats, "real") is not floats

@@ -11,9 +11,10 @@ the named tests there with pytest, and reports:
               exits with anything but 0 or 1 (an internal or usage error)
 
 The exit status is 0 when every mutation is caught, 1 otherwise.  It is not
-part of the test suite and takes a few minutes:
+part of the test suite and takes a few minutes.  Named mutations run alone;
+an unknown name exits 2 and lists the known ones:
 
-    python tools/mutation_check.py
+    python tools/mutation_check.py [NAME ...]
 """
 
 from __future__ import annotations
@@ -109,9 +110,9 @@ MUTATIONS = (
     ),
     Mutation(
         "cap-counts-full-group",
-        "src/steerkit/criteria.py",
-        "n_plans = (config.n_angles + 1) ** len(modes) - 1",
-        "n_plans = config.n_angles ** len(modes)",
+        "src/steerkit/gaussian.py",
+        "n_plans = (n_angles + 1) ** len(modes) - 1",
+        "n_plans = n_angles ** len(modes)",
         ("tests/test_criteria.py::TestCollectiveScan::test_cv_cap_counts_every_subset_before_the_walk",),
     ),
     Mutation(
@@ -228,6 +229,27 @@ MUTATIONS = (
         "sign = self.sign",
         ("tests/test_site_rule.py::test_pauli_sign_is_an_integer_plus_or_minus_one",),
     ),
+    Mutation(
+        "qubit-cost-counts-empty-subset",
+        "src/steerkit/qubits.py",
+        "((menu_size + 1) ** group_size - 1)",
+        "(menu_size + 1) ** group_size",
+        ("tests/test_criteria.py::TestCollectiveScan::test_qubit_scan_cost_counts_every_subset_and_state_entry",),
+    ),
+    Mutation(
+        "array-accepts-bools",
+        "src/steerkit/core.py",
+        '("iufc" if dtype is complex else "iuf")',
+        '("biufc" if dtype is complex else "biuf")',
+        ("tests/test_site_rule.py::test_array_rule_refuses",),
+    ),
+    Mutation(
+        "secret-sharing-n-unchecked",
+        "src/steerkit/scenarios.py",
+        'if as_integer(n, "n must be an integer") != 3:',
+        "if n != 3:",
+        ("tests/test_scenarios.py::TestSecretSharing::test_party_count_passes_the_integer_rule",),
+    ),
 )
 
 
@@ -259,9 +281,15 @@ def run(mutation: Mutation) -> tuple[str, str]:
     return "caught", f"{len(failed)} failed"
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    known = {mutation.name: mutation for mutation in MUTATIONS}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"unknown mutations: {', '.join(unknown)}", file=sys.stderr)
+        print(f"known mutations: {', '.join(known)}", file=sys.stderr)
+        return 2
     verdicts = []
-    for mutation in MUTATIONS:
+    for mutation in [known[name] for name in names] or MUTATIONS:
         verdict, detail = run(mutation)
         verdicts.append(verdict)
         print(f"{verdict:8} {mutation.name}: {detail}", flush=True)
@@ -269,4 +297,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
